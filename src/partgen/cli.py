@@ -152,6 +152,8 @@ def _parse_atom_spec(spec: str, taxonomy: Taxonomy) -> list[SemanticAtom]:
         atom = by_pair.get((part.strip(), subject.strip()))
         if atom is None:
             raise UsageError(f"--atoms: no atom ({part.strip()}, {subject.strip()}) in the taxonomy")
+        if any(a.part == atom.part for a in atoms):
+            raise UsageError(f"--atoms: part {atom.part!r} appears more than once")
         atoms.append(atom)
     return atoms
 
@@ -173,6 +175,12 @@ def cmd_taxonomy_validate(args) -> int:
 
 
 def cmd_corpus_gen(args) -> int:
+    # checked here because write_corpus creates the file before the lazy
+    # generator would reject these
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
+    if not (0.0 <= args.mix_ratio <= 1.0):
+        raise UsageError(f"--mix-ratio must be within [0, 1], got {args.mix_ratio}")
     taxonomy, _ = _resolve_taxonomy(args.taxonomy)
     records = generate_corpus(taxonomy, args.n, master_seed=args.seed, mix_ratio=args.mix_ratio)
     count = write_corpus(records, args.out)

@@ -62,6 +62,7 @@ class Tape:
 
     activations: list[np.ndarray]  # inputs to each layer, then the output
     pre_activations: list[np.ndarray]
+    sigmoids: list[np.ndarray]  # sigmoid(z) of each hidden layer, reused by backward
     squeezed: bool
     dtype: np.dtype
 
@@ -82,12 +83,14 @@ class Gradients:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Overflow-free logistic: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below.
+
+    Both branches are num/(1+e) with e = exp(-|z|) and num 1 or e, so this
+    branch-free form gives the two-branch form's bits. min(z, -z) rather
+    than -abs(z) keeps the sign of a NaN input.
+    """
+    e = np.exp(np.minimum(z, -z))
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def forward(net: DenseNet, x: np.ndarray, dtype: type = np.float32) -> tuple[np.ndarray, Tape]:
@@ -100,14 +103,19 @@ def forward(net: DenseNet, x: np.ndarray, dtype: type = np.float32) -> tuple[np.
         raise DimensionMismatch(f"input shape {x.shape} does not match first layer dim {net.layer_dims[0]}")
     activations = [x]
     pre_activations = []
+    sigmoids = []
     h = x
     for i in range(net.n_layers):
-        z = h @ net.weights[i].T.astype(dtype) + net.biases[i].astype(dtype)
+        z = h @ net.weights[i].T.astype(dtype, copy=False)
+        z += net.biases[i].astype(dtype, copy=False)
         pre_activations.append(z)
-        h = z * _sigmoid(z) if i < net.n_layers - 1 else z
+        h = z
+        if i < net.n_layers - 1:
+            sigmoids.append(_sigmoid(z))
+            h = z * sigmoids[-1]
         activations.append(h)
     y = h[0] if squeezed else h
-    return y, Tape(activations, pre_activations, squeezed, np.dtype(dtype))
+    return y, Tape(activations, pre_activations, sigmoids, squeezed, np.dtype(dtype))
 
 
 def backward(net: DenseNet, tape: Tape, dloss_dy: np.ndarray) -> tuple[Gradients, np.ndarray]:
@@ -128,12 +136,12 @@ def backward(net: DenseNet, tape: Tape, dloss_dy: np.ndarray) -> tuple[Gradients
         grad_w[i] = delta.T @ tape.activations[i]
         grad_b[i] = delta.sum(axis=0)
         if i > 0:
-            dx = delta @ net.weights[i].astype(dtype)
+            dx = delta @ net.weights[i].astype(dtype, copy=False)
             z = tape.pre_activations[i - 1]
-            s = _sigmoid(z)
+            s = tape.sigmoids[i - 1]
             # d/dz of z*sigmoid(z)
             delta = dx * (s * (1.0 + z * (1.0 - s)))
-    dinput = delta @ net.weights[0].astype(dtype)
+    dinput = delta @ net.weights[0].astype(dtype, copy=False)
     if tape.squeezed:
         dinput = dinput[0]
     return Gradients(weights=grad_w, biases=grad_b), dinput
@@ -175,13 +183,17 @@ def adam_step(net: DenseNet, grads: Gradients, state: AdamState, lr: float | Non
         (net.weights, grads.weights, state.m_weights, state.v_weights),
         (net.biases, grads.biases, state.m_biases, state.v_biases),
     ):
-        for i in range(len(params)):
-            g = gs[i].astype(np.float32)
-            ms[i] = state.beta1 * ms[i] + (1.0 - state.beta1) * g
-            vs[i] = state.beta2 * vs[i] + (1.0 - state.beta2) * g * g
-            m_hat = ms[i] / c1
-            v_hat = vs[i] / c2
-            params[i] -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(np.float32)
+        for p, g, m, v in zip(params, gs, ms, vs):
+            g = g.astype(np.float32, copy=False)
+            m *= state.beta1
+            m += (1.0 - state.beta1) * g
+            v *= state.beta2
+            v += (1.0 - state.beta2) * g * g
+            # A numpy-float64 lr (the cosine schedule's) promotes the update
+            # to float64; it is rounded to float32 only for the subtraction.
+            upd = lr * (m / c1)
+            upd /= np.sqrt(v / c2) + state.eps
+            p -= upd.astype(np.float32, copy=False)
 
 
 def grad_check(
@@ -248,6 +260,13 @@ def save_checkpoint(net: DenseNet, path: str | Path, adam: AdamState | None = No
                     fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
 
 
+def _read_exact(fh, n: int, path: str | Path) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ParseError(f"{path}: truncated checkpoint: wanted {n} bytes at offset {fh.tell() - len(data)}, got {len(data)}")
+    return data
+
+
 def load_checkpoint(path: str | Path) -> tuple[DenseNet, AdamState | None]:
     try:
         fh = open(path, "rb")
@@ -256,31 +275,29 @@ def load_checkpoint(path: str | Path) -> tuple[DenseNet, AdamState | None]:
     with fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ParseError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, path))
         if version != CHECKPOINT_VERSION:
             raise ParseError(f"{path}: unsupported checkpoint version {version}")
-        tag = fh.read(4)
+        tag = _read_exact(fh, 4, path)
         if tag != _ACTIVATION_TAG:
             raise ParseError(f"{path}: unknown activation tag {tag!r}")
-        (n_dims,) = struct.unpack("<I", fh.read(4))
-        dims = list(struct.unpack(f"<{n_dims}I", fh.read(4 * n_dims)))
+        (n_dims,) = struct.unpack("<I", _read_exact(fh, 4, path))
+        dims = list(struct.unpack(f"<{n_dims}I", _read_exact(fh, 4 * n_dims, path)))
+
+        def read_f32(shape: tuple[int, ...]) -> np.ndarray:
+            return np.frombuffer(_read_exact(fh, 4 * int(np.prod(shape)), path), dtype="<f4").reshape(shape).copy()
+
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            w = np.frombuffer(fh.read(4 * fan_out * fan_in), dtype="<f4").reshape(fan_out, fan_in).copy()
-            b = np.frombuffer(fh.read(4 * fan_out), dtype="<f4").copy()
-            weights.append(w)
-            biases.append(b)
+            weights.append(read_f32((fan_out, fan_in)))
+            biases.append(read_f32((fan_out,)))
         net = DenseNet(layer_dims=dims, weights=weights, biases=biases)
-        (has_adam,) = struct.unpack("<B", fh.read(1))
+        (has_adam,) = struct.unpack("<B", _read_exact(fh, 1, path))
         if not has_adam:
             return net, None
-        step, lr, beta1, beta2, eps = struct.unpack("<Qdddd", fh.read(8 + 32))
+        step, lr, beta1, beta2, eps = struct.unpack("<Qdddd", _read_exact(fh, 8 + 32, path))
         adam = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=step)
         for group_name in ("m_weights", "v_weights", "m_biases", "v_biases"):
-            group = []
-            shapes = [w.shape for w in weights] if "weights" in group_name else [b.shape for b in biases]
-            for shape in shapes:
-                size = int(np.prod(shape))
-                group.append(np.frombuffer(fh.read(4 * size), dtype="<f4").reshape(shape).copy())
-            setattr(adam, group_name, group)
+            tensors = weights if "weights" in group_name else biases
+            setattr(adam, group_name, [read_f32(t.shape) for t in tensors])
         return net, adam

@@ -80,6 +80,22 @@ class TestExitCodes:
                            "--out", str(tmp_path / "ckpt.bin")])
         assert bad_corpus == 1
 
+    @pytest.mark.parametrize("n, mix_ratio, flag", [("0", "0.5", "--n"), ("5", "1.5", "--mix-ratio")], ids=["n", "mix-ratio"])
+    def test_corpus_gen_bad_argument_is_usage_error_without_output(self, tmp_path, capsys, n, mix_ratio, flag):
+        out = tmp_path / "x.jsonl"
+        assert main(["corpus", "gen", "--n", n, "--mix-ratio", mix_ratio, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and flag in err[0]
+        assert not out.exists()
+
+    def test_truncated_checkpoint_is_runtime_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "net.bin"
+        save_checkpoint(DenseNet.init([input_dim(DEFAULT_DIM), 8, DEFAULT_DIM], seed=0), ckpt)
+        ckpt.write_bytes(ckpt.read_bytes()[:100])
+        assert main(["prior", "sample", "--ckpt", str(ckpt), "--atoms", "head:lion"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "truncated checkpoint" in err[0]
+
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["corpus", "gen", "--does-not-exist", "1"])
@@ -156,6 +172,14 @@ class TestCorpusAndSample:
         code = main(["prior", "sample", "--ckpt", str(ckpt), "--atoms", "head:zzz"])
         assert code == 2
         assert "no atom" in capsys.readouterr().err
+
+
+    def test_prior_sample_repeated_part(self, tmp_path, capsys):
+        ckpt = tmp_path / "net.bin"
+        save_checkpoint(DenseNet.init([input_dim(DEFAULT_DIM), 8, DEFAULT_DIM], seed=0), ckpt)
+        code = main(["prior", "sample", "--ckpt", str(ckpt), "--atoms", "head:lion,head:horse"])
+        assert code == 2
+        assert "more than once" in capsys.readouterr().err
 
 
 class TestReportCommand:

@@ -1,12 +1,15 @@
 """Dense network: forward/backward math, Adam, checkpoints, gradient checks."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from partgen.errors import DimensionMismatch, NonFiniteGradient
+from partgen.errors import DimensionMismatch, NonFiniteGradient, ParseError
 from partgen.nn import (
     AdamState,
     DenseNet,
+    _sigmoid,
     adam_step,
     backward,
     forward,
@@ -19,6 +22,40 @@ from partgen.nn import (
 @pytest.fixture
 def small_net() -> DenseNet:
     return DenseNet.init([6, 16, 16, 4], seed=1)
+
+
+def _reference_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The two-branch sigmoid by boolean-mask indexing: the reference the
+    branch-free form must match bit for bit."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_adam_step(net: DenseNet, grads, state: AdamState, lr) -> None:
+    """Adam with a fresh array per intermediate: the reference the in-place
+    update must match bit for bit."""
+    state.step += 1
+    c1 = 1.0 - state.beta1 ** state.step
+    c2 = 1.0 - state.beta2 ** state.step
+    for params, gs, ms, vs in (
+        (net.weights, grads.weights, state.m_weights, state.v_weights),
+        (net.biases, grads.biases, state.m_biases, state.v_biases),
+    ):
+        for i in range(len(params)):
+            g = gs[i].astype(np.float32)
+            ms[i] = state.beta1 * ms[i] + (1.0 - state.beta1) * g
+            vs[i] = state.beta2 * vs[i] + (1.0 - state.beta2) * g * g
+            m_hat = ms[i] / c1
+            v_hat = vs[i] / c2
+            params[i] -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(np.float32)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
 
 
 def _quadratic_loss(net: DenseNet, x: np.ndarray, y: np.ndarray, dtype=np.float64):
@@ -55,6 +92,18 @@ class TestForward:
             y, _ = forward(net, np.array([z]), dtype=np.float64)
             expected = z / (1.0 + np.exp(-z)) if z != 0.0 else 0.0
             assert abs(float(y[0]) - expected) < 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_mask_reference_bitwise(self, dtype):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-30, -1e-30, 88.7, -88.7, 101.0, -101.0, 800.0, -800.0, 1e5, -1e5]
+        random = 30.0 * np.random.default_rng(7).standard_normal(4099)
+        z = np.concatenate([special, random]).astype(dtype)
+        for offset, size in ((0, z.size), (1, 17), (3, 64), (0, 5)):
+            part = z[offset:offset + size]
+            got = _sigmoid(part)
+            assert got.dtype == dtype
+            assert np.array_equal(_bits(got), _bits(_reference_sigmoid(part)))
+        assert np.array_equal(_bits(_sigmoid(z.reshape(-1, 5)[:, 1:4])), _bits(_reference_sigmoid(z.reshape(-1, 5)[:, 1:4])))
 
     def test_dimension_mismatch(self, small_net):
         with pytest.raises(DimensionMismatch):
@@ -144,6 +193,35 @@ class TestAdam:
         assert last < 0.2 * first
 
 
+    @pytest.mark.parametrize("lr_type", [float, np.float64])
+    def test_matches_allocating_reference_bitwise(self, small_net, lr_type):
+        # the cosine schedule passes lr as np.float64, which promotes the
+        # update to float64 before it is rounded for the subtraction
+        net, ref_net = small_net, small_net.copy()
+        state, ref_state = AdamState.init(net), AdamState.init(ref_net)
+        rng = np.random.default_rng(8)
+        for step in range(1, 21):
+            x, y = rng.standard_normal((8, 6)), rng.standard_normal((8, 4))
+            lr = lr_type(1e-2 * 0.5 * (1.0 + np.cos(np.pi * step / 20)))
+            _, grads = _quadratic_loss(net, x, y, dtype=np.float32)
+            _, ref_grads = _quadratic_loss(ref_net, x, y, dtype=np.float32)
+            adam_step(net, grads, state, lr=lr)
+            _reference_adam_step(ref_net, ref_grads, ref_state, lr)
+        assert state.step == ref_state.step == 20
+        pairs = (
+            (net.weights, ref_net.weights),
+            (net.biases, ref_net.biases),
+            (state.m_weights, ref_state.m_weights),
+            (state.v_weights, ref_state.v_weights),
+            (state.m_biases, ref_state.m_biases),
+            (state.v_biases, ref_state.v_biases),
+        )
+        for got, want in pairs:
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == np.float32
+                assert np.array_equal(_bits(a), _bits(b))
+
+
 class TestCheckpoint:
     def test_round_trip_without_adam(self, small_net, tmp_path):
         path = tmp_path / "net.bin"
@@ -185,4 +263,35 @@ class TestCheckpoint:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(Exception):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "where",
+        ["version", "dims", "first weight", "100 bytes", "last bias", "adam flag", "adam scalars", "adam moments", "last moment"],
+    )
+    def test_truncated_file_is_parse_error(self, small_net, tmp_path, where):
+        rng = np.random.default_rng(9)
+        x, y = rng.standard_normal((4, 6)), rng.standard_normal((4, 4))
+        state = AdamState.init(small_net)
+        adam_step(small_net, _quadratic_loss(small_net, x, y, dtype=np.float32)[1], state)
+        path = tmp_path / "full.bin"
+        save_checkpoint(small_net, path, adam=state)
+        data = path.read_bytes()
+        header = 16 + 4 * len(small_net.layer_dims)
+        flag = header + 4 * sum(w.size + b.size for w, b in zip(small_net.weights, small_net.biases))
+        moments = flag + 1 + struct.calcsize("<Qdddd")
+        assert data[flag] == 1 and len(data) == moments + 2 * (flag - header)
+        size = {
+            "version": 6,
+            "dims": header - 2,
+            "first weight": header + 10,
+            "100 bytes": 100,
+            "last bias": flag - 1,
+            "adam flag": flag,
+            "adam scalars": flag + 1 + 12,
+            "adam moments": moments + 8,
+            "last moment": len(data) - 1,
+        }[where]
+        path.write_bytes(data[:size])
+        with pytest.raises(ParseError, match="truncated"):
             load_checkpoint(path)
