@@ -26,7 +26,6 @@ from .metrics import compositional_accuracy, compositional_accuracy_by_k, fid, g
 from .nn import load_checkpoint, save_checkpoint
 from .parteval import OracleGrader, parteval_extract, parteval_grade_many, parteval_questions, parteval_score
 from .prior import (
-    NoiseSchedule,
     TrainConfig,
     sample_diffusion_batch,
     sample_flow_batch,
@@ -161,7 +160,7 @@ def _parse_atom_spec(spec: str, taxonomy: Taxonomy) -> list[SemanticAtom]:
 def _sample_batch(objective: str, net, conds, d: int, sample_steps: int, cfg_scale: float, seed: int) -> np.ndarray:
     if objective == "rectified_flow":
         return sample_flow_batch(net, conds, d, n_steps=sample_steps, cfg_scale=cfg_scale, seed=seed)
-    return sample_diffusion_batch(net, conds, d, sched=NoiseSchedule(), n_steps=sample_steps, cfg_scale=cfg_scale, seed=seed)
+    return sample_diffusion_batch(net, conds, d, n_steps=sample_steps, cfg_scale=cfg_scale, seed=seed)
 
 
 # subcommand handlers
@@ -174,13 +173,17 @@ def cmd_taxonomy_validate(args) -> int:
     return 0
 
 
+def _check_corpus_flags(n_flag: str, n: int, mix_ratio: float) -> None:
+    # checked before any output exists: the lazy generator would reject
+    # these only once its caller has created files
+    if n < 1:
+        raise UsageError(f"{n_flag} must be >= 1, got {n}")
+    if not (0.0 <= mix_ratio <= 1.0):
+        raise UsageError(f"--mix-ratio must be within [0, 1], got {mix_ratio}")
+
+
 def cmd_corpus_gen(args) -> int:
-    # checked here because write_corpus creates the file before the lazy
-    # generator would reject these
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
-    if not (0.0 <= args.mix_ratio <= 1.0):
-        raise UsageError(f"--mix-ratio must be within [0, 1], got {args.mix_ratio}")
+    _check_corpus_flags("--n", args.n, args.mix_ratio)
     taxonomy, _ = _resolve_taxonomy(args.taxonomy)
     records = generate_corpus(taxonomy, args.n, master_seed=args.seed, mix_ratio=args.mix_ratio)
     count = write_corpus(records, args.out)
@@ -378,6 +381,7 @@ def run_eval_stage(
 
 
 def cmd_eval(args) -> int:
+    _check_corpus_flags("--n-eval", args.n_eval, args.mix_ratio)
     taxonomy, _ = _resolve_taxonomy(args.taxonomy)
     world = WorldSpec(taxonomy, world_seed=args.world_seed, d=args.dim)
     net, _ = load_checkpoint(args.ckpt)
@@ -452,7 +456,6 @@ def _run_pipeline(config: dict, out_dir: Path, compare_manifest: dict | None) ->
             batch_size=int(config["batch_size"]),
             steps=int(config["steps"]),
             cond_dropout=float(config["cond_dropout"]),
-            cfg_scale=float(config["cfg_scale"]),
             seed=int(config["train_seed"]),
         )
         result = train(train_config, dataset)

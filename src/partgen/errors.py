@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the length-checked read
+that turns a short binary file into a ParseError."""
 
 
 class PartgenError(Exception):
@@ -55,3 +56,16 @@ class MixedScale(PartgenError):
 
 class MalformedReport(PartgenError):
     """A report file is missing required fields or conflicts with others."""
+
+
+def exact_reader(fh, path, kind: str):
+    """read(n) on a binary file that returns exactly n bytes, or raises
+    ParseError naming the ``kind`` of file (checkpoint, dataset) as truncated."""
+
+    def read(n: int) -> bytes:
+        data = fh.read(n)
+        if len(data) != n:
+            raise ParseError(f"{path}: truncated {kind}: wanted {n} bytes at offset {fh.tell() - len(data)}, got {len(data)}")
+        return data
+
+    return read

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteGradient, ParseError
+from .errors import DimensionMismatch, NonFiniteGradient, ParseError, exact_reader
 
 CHECKPOINT_MAGIC = b"CHIM"
 CHECKPOINT_VERSION = 1
@@ -118,12 +118,9 @@ def forward(net: DenseNet, x: np.ndarray, dtype: type = np.float32) -> tuple[np.
     return y, Tape(activations, pre_activations, sigmoids, squeezed, np.dtype(dtype))
 
 
-def backward(net: DenseNet, tape: Tape, dloss_dy: np.ndarray) -> tuple[Gradients, np.ndarray]:
-    """Exact gradients of the scalar loss whose output-gradient is given.
-
-    Returns (parameter gradients, dloss/dx). Gradients come back in the
-    tape's compute dtype.
-    """
+def backward(net: DenseNet, tape: Tape, dloss_dy: np.ndarray) -> Gradients:
+    """Exact parameter gradients of the scalar loss whose output-gradient is
+    given, in the tape's compute dtype."""
     dtype = tape.dtype
     delta = np.asarray(dloss_dy, dtype=dtype)
     if tape.squeezed:
@@ -141,10 +138,7 @@ def backward(net: DenseNet, tape: Tape, dloss_dy: np.ndarray) -> tuple[Gradients
             s = tape.sigmoids[i - 1]
             # d/dz of z*sigmoid(z)
             delta = dx * (s * (1.0 + z * (1.0 - s)))
-    dinput = delta @ net.weights[0].astype(dtype, copy=False)
-    if tape.squeezed:
-        dinput = dinput[0]
-    return Gradients(weights=grad_w, biases=grad_b), dinput
+    return Gradients(weights=grad_w, biases=grad_b)
 
 
 @dataclasses.dataclass
@@ -260,42 +254,36 @@ def save_checkpoint(net: DenseNet, path: str | Path, adam: AdamState | None = No
                     fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
 
 
-def _read_exact(fh, n: int, path: str | Path) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ParseError(f"{path}: truncated checkpoint: wanted {n} bytes at offset {fh.tell() - len(data)}, got {len(data)}")
-    return data
-
-
 def load_checkpoint(path: str | Path) -> tuple[DenseNet, AdamState | None]:
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise ParseError(f"cannot read checkpoint {path}: {exc}") from exc
     with fh:
+        read = exact_reader(fh, path, "checkpoint")
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ParseError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, path))
+        (version,) = struct.unpack("<I", read(4))
         if version != CHECKPOINT_VERSION:
             raise ParseError(f"{path}: unsupported checkpoint version {version}")
-        tag = _read_exact(fh, 4, path)
+        tag = read(4)
         if tag != _ACTIVATION_TAG:
             raise ParseError(f"{path}: unknown activation tag {tag!r}")
-        (n_dims,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        dims = list(struct.unpack(f"<{n_dims}I", _read_exact(fh, 4 * n_dims, path)))
+        (n_dims,) = struct.unpack("<I", read(4))
+        dims = list(struct.unpack(f"<{n_dims}I", read(4 * n_dims)))
 
         def read_f32(shape: tuple[int, ...]) -> np.ndarray:
-            return np.frombuffer(_read_exact(fh, 4 * int(np.prod(shape)), path), dtype="<f4").reshape(shape).copy()
+            return np.frombuffer(read(4 * int(np.prod(shape))), dtype="<f4").reshape(shape).copy()
 
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             weights.append(read_f32((fan_out, fan_in)))
             biases.append(read_f32((fan_out,)))
         net = DenseNet(layer_dims=dims, weights=weights, biases=biases)
-        (has_adam,) = struct.unpack("<B", _read_exact(fh, 1, path))
+        (has_adam,) = struct.unpack("<B", read(1))
         if not has_adam:
             return net, None
-        step, lr, beta1, beta2, eps = struct.unpack("<Qdddd", _read_exact(fh, 8 + 32, path))
+        step, lr, beta1, beta2, eps = struct.unpack("<Qdddd", read(8 + 32))
         adam = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=step)
         for group_name in ("m_weights", "v_weights", "m_biases", "v_biases"):
             tensors = weights if "weights" in group_name else biases

@@ -26,7 +26,6 @@ TIME_ENC_DIM = 16
 _TIME_FREQS = 10000.0 ** (-np.arange(TIME_ENC_DIM // 2) / (TIME_ENC_DIM // 2 - 1))
 FLOW_TIME_SCALE = 1000.0
 
-OBJECTIVES = ("rectified_flow", "diffusion_prior")
 DEFAULT_HIDDEN_DIMS = [256, 256, 256]
 
 
@@ -122,19 +121,36 @@ def make_diffusion_draws(
     )
 
 
-def _batch_arrays(batch: Sequence[tuple[ConditionSet, np.ndarray]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    d = batch[0][1].size
-    targets = np.stack([target for _, target in batch])
-    blocks, masks = condition_features([cond for cond, _ in batch], d)
-    return targets, blocks, masks
-
-
 def _apply_dropout(blocks: np.ndarray, masks: np.ndarray, drop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     blocks = blocks.copy()
     masks = masks.copy()
     blocks[drop] = 0.0
     masks[drop] = 0.0
     return blocks, masks
+
+
+def _flow_pairs(targets, blocks, masks, draws: FlowDraws, sched) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs at x_t = (1 - t) x0 + t e and the straight-path velocity e - x0."""
+    blocks, masks = _apply_dropout(blocks, masks, draws.drop)
+    x_t = (1.0 - draws.t)[:, None] * draws.x0 + draws.t[:, None] * targets
+    return build_inputs(x_t, FLOW_TIME_SCALE * draws.t, blocks, masks), targets - draws.x0
+
+
+def _diffusion_pairs(targets, blocks, masks, draws: DiffusionDraws, sched: NoiseSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs at the noised e_t and the clean composite e itself."""
+    blocks, masks = _apply_dropout(blocks, masks, draws.drop)
+    e_t = q_sample(targets, draws.t, draws.eps, sched)
+    return build_inputs(e_t, draws.t.astype(np.float64), blocks, masks), targets
+
+
+# objective name -> (draw maker (rng, batch size, d, sched, cond_dropout),
+# (targets, blocks, masks, draws, sched) -> (network inputs, regression
+# targets)); the flow entries ignore sched
+_OBJECTIVES = {
+    "rectified_flow": (lambda rng, n, d, sched, p: make_flow_draws(rng, n, d, p), _flow_pairs),
+    "diffusion_prior": (make_diffusion_draws, _diffusion_pairs),
+}
+OBJECTIVES = tuple(_OBJECTIVES)
 
 
 def _regression_loss(
@@ -159,8 +175,22 @@ def _regression_loss(
     if predictor is not None:
         raise ValueError("gradients require the network path, not a predictor override")
     dy = (2.0 / inputs.shape[0]) * diff
-    grads, _ = backward(net, tape, dy.astype(dtype))
-    return loss, grads
+    return loss, backward(net, tape, dy.astype(dtype))
+
+
+def _objective_loss(objective, net, batch, sched, rng, cond_dropout, draws, want_grads, predictor, dtype):
+    """The loss_* functions' shared body: batch arrays, draws, regression."""
+    if not batch:
+        raise ValueError("batch must be non-empty")
+    targets = np.stack([target for _, target in batch])
+    blocks, masks = condition_features([cond for cond, _ in batch], targets.shape[1])
+    make_draws, pairs = _OBJECTIVES[objective]
+    if draws is None:
+        if rng is None:
+            raise ValueError("either rng or draws is required")
+        draws = make_draws(rng, len(batch), targets.shape[1], sched, cond_dropout)
+    inputs, reg_targets = pairs(targets, blocks, masks, draws, sched)
+    return _regression_loss(net, inputs, reg_targets, want_grads, predictor, dtype)
 
 
 def loss_rectified_flow(
@@ -180,19 +210,7 @@ def loss_rectified_flow(
     the loss deterministic. ``predictor`` replaces the network for oracle
     evaluations and disables gradients.
     """
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    targets, blocks, masks = _batch_arrays(batch)
-    d = targets.shape[1]
-    if draws is None:
-        if rng is None:
-            raise ValueError("either rng or draws is required")
-        draws = make_flow_draws(rng, len(batch), d, cond_dropout)
-    blocks, masks = _apply_dropout(blocks, masks, draws.drop)
-    x_t = (1.0 - draws.t)[:, None] * draws.x0 + draws.t[:, None] * targets
-    v_star = targets - draws.x0
-    inputs = build_inputs(x_t, FLOW_TIME_SCALE * draws.t, blocks, masks)
-    return _regression_loss(net, inputs, v_star, want_grads, predictor, dtype)
+    return _objective_loss("rectified_flow", net, batch, None, rng, cond_dropout, draws, want_grads, predictor, dtype)
 
 
 def loss_diffusion_prior(
@@ -207,18 +225,7 @@ def loss_diffusion_prior(
     dtype: type = np.float32,
 ) -> tuple[float, Gradients | None]:
     """Mean squared error of the clean-composite prediction from e_t."""
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    targets, blocks, masks = _batch_arrays(batch)
-    d = targets.shape[1]
-    if draws is None:
-        if rng is None:
-            raise ValueError("either rng or draws is required")
-        draws = make_diffusion_draws(rng, len(batch), d, sched, cond_dropout)
-    blocks, masks = _apply_dropout(blocks, masks, draws.drop)
-    e_t = q_sample(targets, draws.t, draws.eps, sched)
-    inputs = build_inputs(e_t, draws.t.astype(np.float64), blocks, masks)
-    return _regression_loss(net, inputs, targets, want_grads, predictor, dtype)
+    return _objective_loss("diffusion_prior", net, batch, sched, rng, cond_dropout, draws, want_grads, predictor, dtype)
 
 
 @dataclasses.dataclass
@@ -228,7 +235,6 @@ class TrainConfig:
     batch_size: int = 64
     steps: int = 20000
     cond_dropout: float = 0.1
-    cfg_scale: float = 1.0
     seed: int = 0
     cosine_lr_decay: bool = True
     hidden_dims: list[int] = dataclasses.field(default_factory=lambda: list(DEFAULT_HIDDEN_DIMS))
@@ -249,20 +255,19 @@ class TrainResult:
     losses: list[float]  # one entry per optimizer step, pre-update
 
 
-def train(
-    config: TrainConfig,
-    dataset: Sequence[tuple[ConditionSet, np.ndarray]],
-    sched: NoiseSchedule | None = None,
-) -> TrainResult:
+def train(config: TrainConfig, dataset: Sequence[tuple[ConditionSet, np.ndarray]]) -> TrainResult:
     """Seeded single-threaded training; identical config gives identical curves.
 
-    The learning rate follows a half-cosine from config.lr to zero unless
-    cosine_lr_decay is off. A non-finite loss aborts with the step index.
+    Each step draws the batch indices, then the objective's draws, from one
+    seeded stream, and regresses through the same objective function as the
+    loss_* helpers. The learning rate follows a half-cosine from config.lr
+    to zero unless cosine_lr_decay is off. A non-finite loss aborts with
+    the step index.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
-    if config.objective == "diffusion_prior" and sched is None:
-        sched = NoiseSchedule()
+    sched = NoiseSchedule()
+    make_draws, pairs = _OBJECTIVES[config.objective]
     d = dataset[0][1].size
     net = DenseNet.init([input_dim(d)] + list(config.hidden_dims) + [d], seed=config.seed)
     adam = AdamState.init(net, lr=config.lr)
@@ -272,19 +277,8 @@ def train(
     losses: list[float] = []
     for step in range(1, config.steps + 1):
         idx = rng.integers(0, len(dataset), size=config.batch_size)
-        batch_targets = targets[idx]
-        if config.objective == "rectified_flow":
-            draws = make_flow_draws(rng, config.batch_size, d, config.cond_dropout)
-            b, m = _apply_dropout(blocks[idx], masks[idx], draws.drop)
-            x_t = (1.0 - draws.t)[:, None] * draws.x0 + draws.t[:, None] * batch_targets
-            reg_targets = batch_targets - draws.x0
-            inputs = build_inputs(x_t, FLOW_TIME_SCALE * draws.t, b, m)
-        else:
-            draws = make_diffusion_draws(rng, config.batch_size, d, sched, config.cond_dropout)
-            b, m = _apply_dropout(blocks[idx], masks[idx], draws.drop)
-            e_t = q_sample(batch_targets, draws.t, draws.eps, sched)
-            reg_targets = batch_targets
-            inputs = build_inputs(e_t, draws.t.astype(np.float64), b, m)
+        draws = make_draws(rng, config.batch_size, d, sched, config.cond_dropout)
+        inputs, reg_targets = pairs(targets[idx], blocks[idx], masks[idx], draws, sched)
         try:
             loss, grads = _regression_loss(net, inputs, reg_targets, True, None, np.float32)
         except NonFiniteLoss as exc:
@@ -356,17 +350,6 @@ def sample_flow_batch(
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def sample_flow(
-    net,
-    cond: ConditionSet,
-    d: int,
-    n_steps: int = 50,
-    cfg_scale: float = 1.0,
-    seed: int = 0,
-) -> np.ndarray:
-    return sample_flow_batch(net, [cond], d, n_steps=n_steps, cfg_scale=cfg_scale, seed=seed)[0]
-
-
 def sample_diffusion_batch(
     net,
     conds: Sequence[ConditionSet],
@@ -399,14 +382,3 @@ def sample_diffusion_batch(
         x = np.sqrt(ab_prev) * e_hat + np.sqrt(1.0 - ab_prev) * eps_hat
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
-
-def sample_diffusion(
-    net,
-    cond: ConditionSet,
-    d: int,
-    sched: NoiseSchedule | None = None,
-    n_steps: int = 50,
-    cfg_scale: float = 1.0,
-    seed: int = 0,
-) -> np.ndarray:
-    return sample_diffusion_batch(net, [cond], d, sched=sched, n_steps=n_steps, cfg_scale=cfg_scale, seed=seed)[0]

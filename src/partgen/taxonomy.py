@@ -72,9 +72,6 @@ class Taxonomy:
                 return entry
         raise KeyError(name)
 
-    def atom_count(self) -> int:
-        return sum(len(p.subjects) for d in self.domains for p in d.parts)
-
 
 @dataclasses.dataclass(frozen=True)
 class RenderConfig:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError, UnknownAtom, ValidationError
+from .errors import DimensionMismatch, ParseError, UnknownAtom, ValidationError, exact_reader
 from .hashing import tagged_seed
 from .taxonomy import HybridPrompt, SemanticAtom, Taxonomy, enumerate_atoms
 
@@ -279,19 +279,24 @@ def load_dataset(path: str | Path, world: WorldSpec) -> list[tuple[ConditionSet,
     except OSError as exc:
         raise ParseError(f"cannot read dataset {path}: {exc}") from exc
     with fh:
+        read = exact_reader(fh, path, "dataset")
         magic = fh.read(4)
         if magic != DATASET_MAGIC:
             raise ParseError(f"{path}: bad dataset magic {magic!r}")
-        version, d, count = struct.unpack("<IIQ", fh.read(16))
+        version, d, count = struct.unpack("<IIQ", read(16))
         if version != DATASET_VERSION:
             raise ParseError(f"{path}: unsupported dataset version {version}")
         if d != world.d:
             raise DimensionMismatch(f"{path}: dataset dim {d} != world dim {world.d}")
         pairs = []
         for _ in range(count):
-            (k,) = struct.unpack("<B", fh.read(1))
-            indices = struct.unpack(f"<{k}I", fh.read(4 * k))
-            target = np.frombuffer(fh.read(4 * d), dtype="<f4").astype(np.float64)
+            (k,) = struct.unpack("<B", read(1))
+            if not (2 <= k <= SLOT_COUNT):
+                raise ParseError(f"{path}: record slot count {k} is outside [2, {SLOT_COUNT}] at offset {fh.tell() - 1}")
+            indices = struct.unpack(f"<{k}I", read(4 * k))
+            if max(indices) >= len(world.atoms):
+                raise ParseError(f"{path}: atom index {max(indices)} is out of range for {len(world.atoms)} atoms")
+            target = np.frombuffer(read(4 * d), dtype="<f4").astype(np.float64)
             atoms = [world.atoms[i] for i in indices]
             pairs.append((condition_set(atoms, world), target))
     return pairs

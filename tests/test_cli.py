@@ -88,6 +88,17 @@ class TestExitCodes:
         assert len(err) == 1 and flag in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_eval, mix_ratio, flag", [("0", "0.5", "--n-eval"), ("5", "-0.1", "--mix-ratio")], ids=["n-eval", "mix-ratio"])
+    def test_eval_bad_argument_is_usage_error_without_output(self, tmp_path, capsys, n_eval, mix_ratio, flag):
+        ckpt = tmp_path / "net.bin"
+        save_checkpoint(DenseNet.init([input_dim(DEFAULT_DIM), 8, DEFAULT_DIM], seed=0), ckpt)
+        out_dir = tmp_path / "eval"
+        argv = ["eval", "--ckpt", str(ckpt), "--n-eval", n_eval, "--mix-ratio", mix_ratio, "--out-dir", str(out_dir)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and flag in err[0]
+        assert not out_dir.exists()
+
     def test_truncated_checkpoint_is_runtime_error(self, tmp_path, capsys):
         ckpt = tmp_path / "net.bin"
         save_checkpoint(DenseNet.init([input_dim(DEFAULT_DIM), 8, DEFAULT_DIM], seed=0), ckpt)

@@ -1,12 +1,16 @@
 """Prior objectives, noise schedule, training loop, and samplers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from partgen.errors import NonFiniteLoss, ValidationError
+from partgen.hashing import combine_seed
 from partgen.nn import DenseNet
 from partgen.prior import (
     FLOW_TIME_SCALE,
+    OBJECTIVES,
     TIME_ENC_DIM,
     FlowDraws,
     NoiseSchedule,
@@ -199,6 +203,43 @@ class TestTrainLoop:
         config = TrainConfig(objective="diffusion_prior", steps=60, batch_size=8, seed=11, hidden_dims=[32])
         result = train(config, small_batch)
         assert len(result.losses) == 60 and all(np.isfinite(result.losses))
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_step_one_loss_is_the_loss_function(self, world, small_batch, objective):
+        # train's first step, rebuilt outside it: the initial net, then the
+        # batch indices and the draws in train's order from its seeded stream
+        config = TrainConfig(objective=objective, steps=2, batch_size=8, cond_dropout=0.5, seed=9, hidden_dims=[32])
+        result = train(config, small_batch)
+        net = DenseNet.init([input_dim(world.d), 32, world.d], seed=config.seed)
+        rng = np.random.default_rng(combine_seed(config.seed, 0xA11))
+        idx = rng.integers(0, len(small_batch), size=config.batch_size)
+        batch = [small_batch[i] for i in idx]
+        if objective == "rectified_flow":
+            draws = make_flow_draws(rng, config.batch_size, world.d, config.cond_dropout)
+            loss, _ = loss_rectified_flow(net, batch, draws=draws)
+        else:
+            sched = NoiseSchedule()
+            draws = make_diffusion_draws(rng, config.batch_size, world.d, sched, config.cond_dropout)
+            loss, _ = loss_diffusion_prior(net, batch, sched, draws=draws)
+        assert 0 < draws.drop.sum() < config.batch_size
+        assert result.losses[0] == loss
+
+    # sha256 over losses, weights, biases and Adam m/v, taken on the code
+    # from before train called the loss functions' objective path (x86-64,
+    # numpy 2.4.6, OpenBLAS 0.3.31); another BLAS may round float32
+    # matmuls differently
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_training_digest_pinned(self, small_batch, objective):
+        digest = {
+            "rectified_flow": "da2b0e10185f66266056e5e15c38e348ee424d5db5446350f7b7ee8af6cfb0a1",
+            "diffusion_prior": "e125391fad3a95ebeae9bba3d4034102ce216d6a44ac9655fd4c2c8cd8b4a45d",
+        }[objective]
+        result = train(TrainConfig(objective=objective, steps=40, batch_size=8, seed=9, hidden_dims=[32]), small_batch)
+        h = hashlib.sha256(np.asarray(result.losses, dtype=np.float64).tobytes())
+        adam = result.adam
+        for a in result.net.weights + result.net.biases + adam.m_weights + adam.v_weights + adam.m_biases + adam.v_biases:
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
 
     def test_loss_csv_rows(self, tmp_path):
         path = tmp_path / "loss.csv"

@@ -1,5 +1,7 @@
 """Synthetic embedding world: rotations, composition, decoding, dataset IO."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,33 @@ class TestDataset:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ParseError):
             load_dataset(path, world)
+
+    @pytest.fixture
+    def saved(self, taxonomy, world, tmp_path):
+        path = tmp_path / "dataset.bin"
+        save_dataset(make_dataset(list(generate_corpus(taxonomy, 3, master_seed=6)), taxonomy, world), path, world)
+        return path
+
+    # header (magic, version, d, count: 20 bytes): inside the version and
+    # the count; first record (slot count, atom indices, target row): its
+    # slot count, first atom index and target row; the file's last byte
+    @pytest.mark.parametrize("cut", [6, 14, 20, 24, 40, -1])
+    def test_truncated_file_is_parse_error(self, world, saved, cut):
+        saved.write_bytes(saved.read_bytes()[:cut])
+        with pytest.raises(ParseError, match="truncated dataset"):
+            load_dataset(saved, world)
+
+    def test_atom_index_out_of_range_is_parse_error(self, world, saved):
+        data = bytearray(saved.read_bytes())
+        data[21:25] = struct.pack("<I", len(world.atoms))  # first atom index of the first record
+        saved.write_bytes(bytes(data))
+        with pytest.raises(ParseError, match="out of range"):
+            load_dataset(saved, world)
+
+    @pytest.mark.parametrize("k", [0, 1, SLOT_COUNT + 1])
+    def test_bad_slot_count_is_parse_error(self, world, saved, k):
+        data = bytearray(saved.read_bytes())
+        data[20] = k  # slot count of the first record
+        saved.write_bytes(bytes(data))
+        with pytest.raises(ParseError, match="slot count"):
+            load_dataset(saved, world)
