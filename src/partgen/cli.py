@@ -13,25 +13,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from . import __version__
 from .errors import PartgenError
 from .hashing import combine_seed
-from .manifest import build_manifest, load_manifest, sha256_file, verify_artifacts, write_manifest
+from .manifest import build_manifest, load_manifest, verify_artifacts, write_manifest
 from .metrics import compositional_accuracy, compositional_accuracy_by_k, fid, gaussian_stats, kid
 from .nn import load_checkpoint, save_checkpoint
 from .parteval import OracleGrader, parteval_extract, parteval_grade_many, parteval_questions, parteval_score
-from .prior import (
-    TrainConfig,
-    sample_diffusion_batch,
-    sample_flow_batch,
-    train,
-    write_loss_csv,
-)
+from .prior import TrainConfig, sample_diffusion_batch, sample_flow_batch, train, write_loss_csv
 from .report import complexity_report, load_report, svg_bar_chart, write_report
 from .taxonomy import (
     HybridPrompt,
@@ -79,6 +75,24 @@ PIPELINE_DEFAULTS: dict[str, object] = {
     "label": "prior",
 }
 
+# key -> (allowed range, as messages and --help state it; its test). A key
+# missing here takes any value of its default's type.
+CONFIG_CHECKS: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "n_train": (">= 1", lambda v: v >= 1),
+    "n_eval": (">= 2 (FID and KID need 2 rows)", lambda v: v >= 2),
+    "mix_ratio": ("within [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "dim": (">= 2", lambda v: v >= 2),
+    "objective": (f"one of {', '.join(OBJECTIVE_ALIASES)}", lambda v: v in OBJECTIVE_ALIASES),
+    "steps": (">= 1", lambda v: v >= 1),
+    "lr": ("> 0 and finite", lambda v: 0.0 < v < math.inf),
+    "batch_size": (">= 1", lambda v: v >= 1),
+    "cond_dropout": ("within [0, 1)", lambda v: 0.0 <= v < 1.0),
+    "train_seed": (">= 0", lambda v: v >= 0),  # it seeds numpy's generator directly
+    "sample_steps": (">= 1", lambda v: v >= 1),
+    "cfg_scale": ("finite", math.isfinite),
+    "kid_subsets": (">= 2", lambda v: v >= 2),
+}
+
 
 class UsageError(Exception):
     """Raised for bad invocations; mapped to exit code 2."""
@@ -91,15 +105,31 @@ def _resolve_taxonomy(path_str: str) -> tuple[Taxonomy, Path]:
     return load_taxonomy(path), path
 
 
-def _coerce(key: str, raw: str) -> object:
-    default = PIPELINE_DEFAULTS[key]
-    if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+def check_config(values: dict, flags: dict[str, str] | None = None) -> dict:
+    """Every key of PIPELINE_DEFAULTS, each value coerced to its default's
+    type and held to CONFIG_CHECKS. Callers run it before they create any
+    output. Errors name a key by its flag in ``flags``, else by the key."""
+    flags = flags or {}
+    unknown = sorted(set(values) - set(PIPELINE_DEFAULTS))
+    if unknown:
+        raise UsageError(f"unknown config key {unknown[0]!r} (known: {', '.join(sorted(PIPELINE_DEFAULTS))})")
+    missing = [key for key in PIPELINE_DEFAULTS if key not in values]
+    if missing:
+        raise UsageError(f"config lacks key(s) {', '.join(missing)}")
+    config = {}
+    for key, raw in values.items():
+        name, kind = flags.get(key, key), type(PIPELINE_DEFAULTS[key])
+        try:
+            value = kind(raw)
+            if not isinstance(raw, str) and value != raw:
+                raise ValueError  # a lossy conversion, such as 2.5 -> 2
+        except (TypeError, ValueError):
+            raise UsageError(f"{name}: expected {kind.__name__}, got {raw!r}") from None
+        rule, ok = CONFIG_CHECKS.get(key, ("", None))
+        if ok is not None and not ok(value):
+            raise UsageError(f"{name} must be {rule}, got {value}")
+        config[key] = value
+    return config
 
 
 def parse_config_file(path: Path) -> dict[str, str]:
@@ -117,26 +147,25 @@ def parse_config_file(path: Path) -> dict[str, str]:
 
 
 def resolve_pipeline_config(config_path: str | None, overrides: list[str]) -> dict:
-    """defaults < config file < --set overrides; unknown keys rejected."""
+    """defaults < config file < --set overrides, then check_config."""
     merged = dict(PIPELINE_DEFAULTS)
-    sources: list[tuple[str, str]] = []
     if config_path:
         path = Path(config_path)
         if not path.exists():
             raise UsageError(f"--config: file not found: {path}")
-        sources.extend(parse_config_file(path).items())
+        merged.update(parse_config_file(path))
     for item in overrides:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
-        sources.append((key.strip(), value.strip()))
-    for key, value in sources:
-        if key not in PIPELINE_DEFAULTS:
-            raise UsageError(f"unknown config key {key!r} (known: {', '.join(sorted(PIPELINE_DEFAULTS))})")
-        merged[key] = _coerce(key, value)
-    if merged["objective"] not in OBJECTIVE_ALIASES:
-        raise UsageError(f"objective must be one of {sorted(OBJECTIVE_ALIASES)}, got {merged['objective']!r}")
-    return merged
+        merged[key.strip()] = value.strip()
+    return check_config(merged)
+
+
+def _subcommand_config(args) -> dict:
+    """A subcommand's config: its generated flags over PIPELINE_DEFAULTS."""
+    flags = args.config_flags
+    return check_config({**PIPELINE_DEFAULTS, **{key: getattr(args, key) for key in flags}}, flags)
 
 
 def _parse_atom_spec(spec: str, taxonomy: Taxonomy) -> list[SemanticAtom]:
@@ -157,10 +186,44 @@ def _parse_atom_spec(spec: str, taxonomy: Taxonomy) -> list[SemanticAtom]:
     return atoms
 
 
-def _sample_batch(objective: str, net, conds, d: int, sample_steps: int, cfg_scale: float, seed: int) -> np.ndarray:
-    if objective == "rectified_flow":
-        return sample_flow_batch(net, conds, d, n_steps=sample_steps, cfg_scale=cfg_scale, seed=seed)
-    return sample_diffusion_batch(net, conds, d, n_steps=sample_steps, cfg_scale=cfg_scale, seed=seed)
+# stages, shared by the pipeline and the subcommands; each takes a checked config
+
+def _corpus(taxonomy: Taxonomy, config: dict, held_out: bool = False):
+    """The lazy training corpus or, with ``held_out``, the eval condition sets."""
+    n, seed = ("n_eval", "eval_seed") if held_out else ("n_train", "master_seed")
+    return generate_corpus(taxonomy, config[n], config[seed], config["mix_ratio"])
+
+
+def _world(taxonomy: Taxonomy, config: dict) -> WorldSpec:
+    return WorldSpec(taxonomy, world_seed=config["world_seed"], d=config["dim"])
+
+
+def _train_stage(config: dict, dataset, ckpt_path: str | Path, loss_path: str | Path | None):
+    train_config = TrainConfig(
+        objective=OBJECTIVE_ALIASES[config["objective"]],
+        lr=config["lr"],
+        batch_size=config["batch_size"],
+        steps=config["steps"],
+        cond_dropout=config["cond_dropout"],
+        seed=config["train_seed"],
+    )
+    result = train(train_config, dataset)
+    save_checkpoint(result.net, ckpt_path)
+    if loss_path:
+        write_loss_csv(result.losses, loss_path)
+    return result
+
+
+def _sample_batch(net, config: dict, conds, d: int) -> np.ndarray:
+    """The objective's sampler on ``conds``; a batch with a NaN or Inf in it
+    raises PartgenError before any caller writes it."""
+    flow = OBJECTIVE_ALIASES[config["objective"]] == "rectified_flow"
+    sampler = sample_flow_batch if flow else sample_diffusion_batch
+    with np.errstate(all="ignore"):  # overflow shows up in the check below
+        batch = sampler(net, conds, d, n_steps=config["sample_steps"], cfg_scale=config["cfg_scale"], seed=config["sample_seed"])
+    if not np.isfinite(batch).all():
+        raise PartgenError(f"the sampler produced non-finite values (cfg_scale {config['cfg_scale']}); no samples written")
+    return batch
 
 
 # subcommand handlers
@@ -173,43 +236,21 @@ def cmd_taxonomy_validate(args) -> int:
     return 0
 
 
-def _check_corpus_flags(n_flag: str, n: int, mix_ratio: float) -> None:
-    # checked before any output exists: the lazy generator would reject
-    # these only once its caller has created files
-    if n < 1:
-        raise UsageError(f"{n_flag} must be >= 1, got {n}")
-    if not (0.0 <= mix_ratio <= 1.0):
-        raise UsageError(f"--mix-ratio must be within [0, 1], got {mix_ratio}")
-
-
 def cmd_corpus_gen(args) -> int:
-    _check_corpus_flags("--n", args.n, args.mix_ratio)
-    taxonomy, _ = _resolve_taxonomy(args.taxonomy)
-    records = generate_corpus(taxonomy, args.n, master_seed=args.seed, mix_ratio=args.mix_ratio)
-    count = write_corpus(records, args.out)
+    config = _subcommand_config(args)
+    taxonomy, _ = _resolve_taxonomy(config["taxonomy"])
+    count = write_corpus(_corpus(taxonomy, config), args.out)
     print(f"wrote {count} records to {args.out}")
     return 0
 
 
 def cmd_prior_train(args) -> int:
-    taxonomy, _ = _resolve_taxonomy(args.taxonomy)
-    world = WorldSpec(taxonomy, world_seed=args.world_seed, d=args.dim)
-    corpus = read_corpus(args.corpus)
-    dataset = make_dataset(corpus, taxonomy, world)
-    config = TrainConfig(
-        objective=OBJECTIVE_ALIASES[args.objective],
-        lr=args.lr,
-        batch_size=args.batch_size,
-        steps=args.steps,
-        cond_dropout=args.cond_dropout,
-        seed=args.train_seed,
-    )
-    result = train(config, dataset)
-    save_checkpoint(result.net, args.out)
-    if args.loss_csv:
-        write_loss_csv(result.losses, args.loss_csv)
+    config = _subcommand_config(args)
+    taxonomy, _ = _resolve_taxonomy(config["taxonomy"])
+    dataset = make_dataset(read_corpus(args.corpus), taxonomy, _world(taxonomy, config))
+    result = _train_stage(config, dataset, args.out, args.loss_csv)
     final = float(np.mean(result.losses[-100:]))
-    print(f"trained {config.steps} steps; step-1 loss {result.losses[0]:.4f}, final-100 mean {final:.4f}")
+    print(f"trained {config['steps']} steps; step-1 loss {result.losses[0]:.4f}, final-100 mean {final:.4f}")
     print(f"checkpoint: {args.out}")
     return 0
 
@@ -224,8 +265,9 @@ def _sample_record_json(prompt_id, atoms, generated, target, decoded) -> dict:
 
 
 def cmd_prior_sample(args) -> int:
-    taxonomy, _ = _resolve_taxonomy(args.taxonomy)
-    world = WorldSpec(taxonomy, world_seed=args.world_seed, d=args.dim)
+    config = _subcommand_config(args)
+    taxonomy, _ = _resolve_taxonomy(config["taxonomy"])
+    world = _world(taxonomy, config)
     net, _ = load_checkpoint(args.ckpt)
     if (args.prompt_id is None) == (args.atoms is None):
         raise UsageError("exactly one of --prompt-id or --atoms is required")
@@ -241,13 +283,10 @@ def cmd_prior_sample(args) -> int:
         atoms = _parse_atom_spec(args.atoms, taxonomy)
         prompt_id = None
     cond = condition_set(atoms, world)
-    generated = _sample_batch(
-        OBJECTIVE_ALIASES[args.objective], net, [cond], args.dim, args.steps, args.cfg, args.sample_seed
-    )[0]
+    generated = _sample_batch(net, config, [cond], world.d)[0]
     target = compose_target(cond, world)
     decoded = decode_parts(generated, cond.k, taxonomy, world)
-    record = _sample_record_json(prompt_id, atoms, generated, target, decoded)
-    text = json.dumps(record)
+    text = json.dumps(_sample_record_json(prompt_id, atoms, generated, target, decoded))
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     print(text)
@@ -255,17 +294,7 @@ def cmd_prior_sample(args) -> int:
 
 
 def run_eval_stage(
-    net,
-    objective: str,
-    eval_records: list[HybridPrompt],
-    taxonomy: Taxonomy,
-    world: WorldSpec,
-    sample_steps: int,
-    cfg_scale: float,
-    sample_seed: int,
-    kid_subsets: int,
-    label: str,
-    out_dir: Path,
+    net, config: dict, eval_records: list[HybridPrompt], taxonomy: Taxonomy, world: WorldSpec, out_dir: Path
 ) -> dict[str, Path]:
     """Sample every eval condition set, score it, and write the report files.
 
@@ -276,8 +305,9 @@ def run_eval_stage(
     """
     conds = [condition_set(r.atoms, world) for r in eval_records]
     targets = np.stack([compose_target(c, world) for c in conds])
-    generated = _sample_batch(objective, net, conds, world.d, sample_steps, cfg_scale, sample_seed)
+    generated = _sample_batch(net, config, conds, world.d)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     samples_path = out_dir / "samples.jsonl"
     decoded_all = []
     with open(samples_path, "w", encoding="utf-8") as fh:
@@ -291,41 +321,33 @@ def run_eval_stage(
     comp_by_k = compositional_accuracy_by_k(paired, taxonomy, world)
     cosines = np.sum(generated * targets, axis=1)
 
-    grader = OracleGrader(taxonomy, world)
-    jobs = []
-    job_owner = []
-    for i, (cond, gen) in enumerate(zip(conds, generated)):
-        for slot, atom in enumerate(cond.atoms):
-            questions = parteval_questions(parteval_extract(atom))
-            subject_ref = {"embedding": gen, "k": cond.k, "slot": slot}
-            jobs.append((subject_ref, questions))
-            job_owner.append(i)
-    grades = parteval_grade_many(grader, jobs)
-    per_sample_grades: dict[int, list] = {}
-    for owner, grade in zip(job_owner, grades):
-        per_sample_grades.setdefault(owner, []).append(grade)
+    jobs = [
+        ({"embedding": gen, "k": cond.k, "slot": slot}, parteval_questions(parteval_extract(atom)))
+        for cond, gen in zip(conds, generated)
+        for slot, atom in enumerate(cond.atoms)
+    ]
+    grades = parteval_grade_many(OracleGrader(taxonomy, world), jobs)
+    graded = iter(grades)  # k jobs per sample, in sample order
+    sample_grades = [[next(graded) for _ in range(cond.k)] for cond in conds]
     parteval_overall = parteval_score(grades)
-    parteval_by_k: dict[int, float] = {}
-    for k in sorted({c.k for c in conds}):
-        records_k = [g for i, g in enumerate(grades) if conds[job_owner[i]].k == k]
-        parteval_by_k[k] = parteval_score(records_k)
+    parteval_by_k = {
+        k: parteval_score([g for cond, gs in zip(conds, sample_grades) if cond.k == k for g in gs])
+        for k in sorted({c.k for c in conds})
+    }
 
-    stats_gen = gaussian_stats(generated)
-    stats_ref = gaussian_stats(targets)
-    fid_value = fid(stats_gen, stats_ref)
-    kid_rng = np.random.default_rng(combine_seed(sample_seed, 3210))
-    kid_mean, kid_std = kid(generated, targets, subset_size=min(100, len(conds)), n_subsets=kid_subsets, rng=kid_rng)
+    fid_value = fid(gaussian_stats(generated), gaussian_stats(targets))
+    kid_rng = np.random.default_rng(combine_seed(config["sample_seed"], 3210))
+    kid_mean, kid_std = kid(generated, targets, subset_size=min(100, len(conds)), n_subsets=config["kid_subsets"], rng=kid_rng)
 
     per_sample = []
     for i, (record, cond) in enumerate(zip(eval_records, conds)):
-        sample_grades = per_sample_grades.get(i, [])
         matches = sum(d.key == a.key for d, a in zip(decoded_all[i], cond.atoms))
         per_sample.append({
             "id": record.id,
             "k": cond.k,
             "cosine": float(cosines[i]),
             "slot_match": matches / cond.k,
-            "parteval": float(np.mean([g.normalized for g in sample_grades])),
+            "parteval": float(np.mean([g.normalized for g in sample_grades[i]])),
         })
 
     metrics = {
@@ -342,29 +364,27 @@ def run_eval_stage(
 
     report = {
         "metric": "eval_summary",
-        "model": label,
+        "model": config["label"],
         "metrics": metrics,
         "per_sample": per_sample,
         "final_score": comp_acc,
     }
-    report_path = out_dir / "report.json"
-    write_report(report_path, report)
-    artifacts["report"] = report_path
+    artifacts["report"] = out_dir / "report.json"
+    write_report(artifacts["report"], report)
 
     for k, score in parteval_by_k.items():
         k_report = {
             "metric": "parteval",
-            "model": label,
+            "model": config["label"],
             "complexity": k,
             "per_sample": [s for s in per_sample if s["k"] == k],
             "final_score": score,
         }
-        k_path = out_dir / f"parteval_{k}part.json"
-        write_report(k_path, k_report)
-        artifacts[f"parteval_{k}part"] = k_path
+        artifacts[f"parteval_{k}part"] = out_dir / f"parteval_{k}part.json"
+        write_report(artifacts[f"parteval_{k}part"], k_report)
 
-    chart_path = out_dir / "metrics.svg"
-    chart_path.write_text(
+    artifacts["metrics_chart"] = out_dir / "metrics.svg"
+    artifacts["metrics_chart"].write_text(
         svg_bar_chart(
             {
                 "mean cosine": metrics["mean_cosine"],
@@ -372,35 +392,20 @@ def run_eval_stage(
                 "parteval": metrics["parteval"],
                 "fid": metrics["fid_to_oracle"],
             },
-            title=f"{label}: evaluation metrics",
+            title=f"{config['label']}: evaluation metrics",
         ),
         encoding="utf-8",
     )
-    artifacts["metrics_chart"] = chart_path
     return artifacts
 
 
 def cmd_eval(args) -> int:
-    _check_corpus_flags("--n-eval", args.n_eval, args.mix_ratio)
-    taxonomy, _ = _resolve_taxonomy(args.taxonomy)
-    world = WorldSpec(taxonomy, world_seed=args.world_seed, d=args.dim)
+    config = _subcommand_config(args)
+    taxonomy, _ = _resolve_taxonomy(config["taxonomy"])
+    world = _world(taxonomy, config)
     net, _ = load_checkpoint(args.ckpt)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    eval_records = list(generate_corpus(taxonomy, args.n_eval, master_seed=args.eval_seed, mix_ratio=args.mix_ratio))
-    artifacts = run_eval_stage(
-        net,
-        OBJECTIVE_ALIASES[args.objective],
-        eval_records,
-        taxonomy,
-        world,
-        args.sample_steps,
-        args.cfg,
-        args.sample_seed,
-        args.kid_subsets,
-        args.label,
-        out_dir,
-    )
+    eval_records = list(_corpus(taxonomy, config, held_out=True))
+    artifacts = run_eval_stage(net, config, eval_records, taxonomy, world, Path(args.out_dir))
     report = load_report(artifacts["report"])
     print(f"eval: {json.dumps(report['metrics'], sort_keys=True)}")
     print(f"report: {artifacts['report']}")
@@ -414,86 +419,43 @@ def cmd_pipeline_run(args) -> int:
 
 def cmd_pipeline_rerun(args) -> int:
     manifest = load_manifest(args.manifest)
-    return _run_pipeline(manifest["config"], Path(args.out), compare_manifest=manifest)
+    return _run_pipeline(check_config(manifest["config"]), Path(args.out), compare_manifest=manifest)
 
 
 def _run_pipeline(config: dict, out_dir: Path, compare_manifest: dict | None) -> int:
+    """Every stage into ``out_dir``, from a config check_config returned."""
     stage = "setup"
     try:
-        taxonomy, taxonomy_path = _resolve_taxonomy(str(config["taxonomy"]))
-        config = dict(config)
-        config["taxonomy"] = str(taxonomy_path)
+        taxonomy, taxonomy_path = _resolve_taxonomy(config["taxonomy"])
+        config = {**config, "taxonomy": str(taxonomy_path)}
         out_dir.mkdir(parents=True, exist_ok=True)
-        world = WorldSpec(taxonomy, world_seed=int(config["world_seed"]), d=int(config["dim"]))
-        objective = OBJECTIVE_ALIASES[str(config["objective"])]
+        world = _world(taxonomy, config)
         artifacts: dict[str, Path] = {}
 
         stage = "corpus"
-        corpus_path = out_dir / "corpus.jsonl"
-        write_corpus(
-            generate_corpus(taxonomy, int(config["n_train"]), int(config["master_seed"]), float(config["mix_ratio"])),
-            corpus_path,
-        )
-        artifacts["corpus"] = corpus_path
-        eval_corpus_path = out_dir / "eval_corpus.jsonl"
-        eval_records = list(
-            generate_corpus(taxonomy, int(config["n_eval"]), int(config["eval_seed"]), float(config["mix_ratio"]))
-        )
-        write_corpus(eval_records, eval_corpus_path)
-        artifacts["eval_corpus"] = eval_corpus_path
+        artifacts["corpus"] = out_dir / "corpus.jsonl"
+        write_corpus(_corpus(taxonomy, config), artifacts["corpus"])
+        artifacts["eval_corpus"] = out_dir / "eval_corpus.jsonl"
+        eval_records = list(_corpus(taxonomy, config, held_out=True))
+        write_corpus(eval_records, artifacts["eval_corpus"])
 
         stage = "dataset"
-        corpus = read_corpus(corpus_path)
-        dataset = make_dataset(corpus, taxonomy, world)
-        dataset_path = out_dir / "dataset.bin"
-        save_dataset(dataset, dataset_path, world)
-        artifacts["dataset"] = dataset_path
+        dataset = make_dataset(read_corpus(artifacts["corpus"]), taxonomy, world)
+        artifacts["dataset"] = out_dir / "dataset.bin"
+        save_dataset(dataset, artifacts["dataset"], world)
 
         stage = "train"
-        train_config = TrainConfig(
-            objective=objective,
-            lr=float(config["lr"]),
-            batch_size=int(config["batch_size"]),
-            steps=int(config["steps"]),
-            cond_dropout=float(config["cond_dropout"]),
-            seed=int(config["train_seed"]),
-        )
-        result = train(train_config, dataset)
-        ckpt_path = out_dir / "checkpoint.bin"
-        save_checkpoint(result.net, ckpt_path)
-        artifacts["checkpoint"] = ckpt_path
-        loss_path = out_dir / "loss.csv"
-        write_loss_csv(result.losses, loss_path)
-        artifacts["loss_curve"] = loss_path
+        artifacts["checkpoint"] = out_dir / "checkpoint.bin"
+        artifacts["loss_curve"] = out_dir / "loss.csv"
+        result = _train_stage(config, dataset, artifacts["checkpoint"], artifacts["loss_curve"])
 
         stage = "eval"
-        artifacts.update(
-            run_eval_stage(
-                result.net,
-                objective,
-                eval_records,
-                taxonomy,
-                world,
-                int(config["sample_steps"]),
-                float(config["cfg_scale"]),
-                int(config["sample_seed"]),
-                int(config["kid_subsets"]),
-                str(config["label"]),
-                out_dir,
-            )
-        )
+        artifacts.update(run_eval_stage(result.net, config, eval_records, taxonomy, world, out_dir))
 
         stage = "manifest"
-        seeds = {
-            "master_seed": int(config["master_seed"]),
-            "eval_seed": int(config["eval_seed"]),
-            "world_seed": int(config["world_seed"]),
-            "train_seed": int(config["train_seed"]),
-            "sample_seed": int(config["sample_seed"]),
-        }
+        seeds = {key: config[key] for key in ("master_seed", "eval_seed", "world_seed", "train_seed", "sample_seed")}
         manifest = build_manifest(config, seeds, artifacts, out_dir)
-        manifest_path = out_dir / "manifest.json"
-        write_manifest(manifest, manifest_path)
+        write_manifest(manifest, out_dir / "manifest.json")
     except (PartgenError, OSError, ValueError) as exc:
         print(f"pipeline stage {stage!r} failed: {exc}", file=sys.stderr)
         return 1
@@ -538,10 +500,24 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _add_config_flags(parser, keys: list[str], renamed: dict[str, str] | None = None, required: tuple = ()) -> None:
+    """One flag per config key, spelled --key-name unless ``renamed``, with
+    the key's default. The value stays as typed until _subcommand_config checks it."""
+    flags = {}
+    for key in keys:
+        flag = flags[key] = (renamed or {}).get(key, "--" + key.replace("_", "-"))
+        rule = CONFIG_CHECKS.get(key, ("",))[0]
+        note = "required" if key in required else f"default: {PIPELINE_DEFAULTS[key]!r}"
+        parser.add_argument(flag, dest=key, default=PIPELINE_DEFAULTS[key], required=key in required,
+                            help=f"{rule} ({note})" if rule else note)
+    parser.set_defaults(config_flags=flags)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="partgen", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"partgen {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    world_keys = ["objective", "taxonomy", "world_seed", "dim"]
 
     p_tax = sub.add_parser("taxonomy", help="taxonomy file tools")
     tax_sub = p_tax.add_subparsers(dest="subcommand", required=True)
@@ -552,59 +528,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_corpus = sub.add_parser("corpus", help="prompt corpus tools")
     corpus_sub = p_corpus.add_subparsers(dest="subcommand", required=True)
     p_gen = corpus_sub.add_parser("gen", help="generate a prompt corpus as JSONL")
-    p_gen.add_argument("--taxonomy", default="", help="taxonomy file (default: shipped file)")
-    p_gen.add_argument("--n", type=int, required=True, help="number of records")
-    p_gen.add_argument("--seed", type=int, default=0, help="master seed")
-    p_gen.add_argument("--mix-ratio", type=float, default=0.5, help="cross-domain mixing probability")
+    _add_config_flags(p_gen, ["taxonomy", "n_train", "master_seed", "mix_ratio"],
+                  {"n_train": "--n", "master_seed": "--seed"}, required=("n_train",))
     p_gen.add_argument("--out", required=True, help="output JSONL path")
     p_gen.set_defaults(handler=cmd_corpus_gen)
 
     p_prior = sub.add_parser("prior", help="train or sample the prior")
     prior_sub = p_prior.add_subparsers(dest="subcommand", required=True)
     p_train = prior_sub.add_parser("train", help="train a prior on a corpus")
-    p_train.add_argument("--objective", choices=sorted(OBJECTIVE_ALIASES), default="flow")
+    _add_config_flags(p_train, world_keys + ["steps", "lr", "batch_size", "cond_dropout", "train_seed"])
     p_train.add_argument("--corpus", required=True, help="training corpus JSONL")
-    p_train.add_argument("--taxonomy", default="", help="taxonomy file (default: shipped file)")
-    p_train.add_argument("--world-seed", type=int, default=DEFAULT_WORLD_SEED)
-    p_train.add_argument("--dim", type=int, default=DEFAULT_DIM, help="embedding dimension")
-    p_train.add_argument("--steps", type=int, default=20000)
-    p_train.add_argument("--lr", type=float, default=1e-3)
-    p_train.add_argument("--batch-size", type=int, default=64)
-    p_train.add_argument("--cond-dropout", type=float, default=0.1)
-    p_train.add_argument("--train-seed", type=int, default=42)
     p_train.add_argument("--out", required=True, help="checkpoint output path")
     p_train.add_argument("--loss-csv", default="", help="optional loss curve CSV path")
     p_train.set_defaults(handler=cmd_prior_train)
 
     p_sample = prior_sub.add_parser("sample", help="sample one condition set from a checkpoint")
+    _add_config_flags(p_sample, world_keys + ["sample_steps", "cfg_scale", "sample_seed"],
+                  {"sample_steps": "--steps", "cfg_scale": "--cfg"})
     p_sample.add_argument("--ckpt", required=True, help="checkpoint file")
-    p_sample.add_argument("--objective", choices=sorted(OBJECTIVE_ALIASES), default="flow")
-    p_sample.add_argument("--taxonomy", default="")
-    p_sample.add_argument("--world-seed", type=int, default=DEFAULT_WORLD_SEED)
-    p_sample.add_argument("--dim", type=int, default=DEFAULT_DIM)
     p_sample.add_argument("--prompt-id", type=int, default=None, help="corpus record id (needs --corpus)")
     p_sample.add_argument("--corpus", default="", help="corpus JSONL for --prompt-id lookup")
     p_sample.add_argument("--atoms", default=None, help="inline condition, e.g. 'head:lion,body:horse'")
-    p_sample.add_argument("--steps", type=int, default=50, help="sampler steps")
-    p_sample.add_argument("--cfg", type=float, default=1.0, help="guidance scale (1 = off)")
-    p_sample.add_argument("--sample-seed", type=int, default=0)
     p_sample.add_argument("--out", default="", help="optional output JSON path")
     p_sample.set_defaults(handler=cmd_prior_sample)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on held-out condition sets")
+    _add_config_flags(p_eval, world_keys + ["eval_seed", "n_eval", "mix_ratio", "sample_steps", "cfg_scale",
+                                        "sample_seed", "kid_subsets", "label"], {"cfg_scale": "--cfg"})
     p_eval.add_argument("--ckpt", required=True)
-    p_eval.add_argument("--objective", choices=sorted(OBJECTIVE_ALIASES), default="flow")
-    p_eval.add_argument("--taxonomy", default="")
-    p_eval.add_argument("--world-seed", type=int, default=DEFAULT_WORLD_SEED)
-    p_eval.add_argument("--dim", type=int, default=DEFAULT_DIM)
-    p_eval.add_argument("--eval-seed", type=int, default=int(PIPELINE_DEFAULTS["eval_seed"]))
-    p_eval.add_argument("--n-eval", type=int, default=200)
-    p_eval.add_argument("--mix-ratio", type=float, default=0.5)
-    p_eval.add_argument("--sample-steps", type=int, default=50)
-    p_eval.add_argument("--cfg", type=float, default=1.0)
-    p_eval.add_argument("--sample-seed", type=int, default=7)
-    p_eval.add_argument("--kid-subsets", type=int, default=10)
-    p_eval.add_argument("--label", default="prior", help="model label used in reports")
     p_eval.add_argument("--out-dir", required=True)
     p_eval.set_defaults(handler=cmd_eval)
 

@@ -7,6 +7,7 @@ import pytest
 from partgen.cli import (
     PIPELINE_DEFAULTS,
     UsageError,
+    build_parser,
     main,
     parse_config_file,
     resolve_pipeline_config,
@@ -221,3 +222,87 @@ class TestReportCommand:
                      "--out-svg", str(tmp_path / "x.svg")])
         assert code == 1
         assert "metric" in capsys.readouterr().err
+
+
+def _tiny_checkpoint(tmp_path):
+    ckpt = tmp_path / "net.bin"
+    save_checkpoint(DenseNet.init([input_dim(DEFAULT_DIM), 8, DEFAULT_DIM], seed=0), ckpt)
+    return ckpt
+
+
+# (id, argv, exit code, text the one stderr line must hold). {tmp} is the
+# test's directory, {out} a path in it that must not exist afterwards, and
+# {ckpt}, {conf} and {manifest_*} are inputs the test writes there first.
+MALFORMED = [
+    ("run-n-eval-0", ["pipeline", "run", "--out", "{out}", "--set", "n_eval=0"], 2, "n_eval"),
+    ("run-n-eval-1", ["pipeline", "run", "--out", "{out}", "--set", "n_eval=1"], 2, "n_eval"),
+    ("run-steps-abc", ["pipeline", "run", "--out", "{out}", "--set", "steps=abc"], 2, "steps"),
+    ("run-lr-negative", ["pipeline", "run", "--out", "{out}", "--set", "lr=-1"], 2, "lr"),
+    ("run-lr-inf", ["pipeline", "run", "--out", "{out}", "--set", "lr=inf"], 2, "lr"),
+    ("run-train-seed-negative", ["pipeline", "run", "--out", "{out}", "--set", "train_seed=-1"], 2, "train_seed"),
+    ("run-set-without-value", ["pipeline", "run", "--out", "{out}", "--set", "steps"], 2, "--set"),
+    ("run-config-dim-1", ["pipeline", "run", "--out", "{out}", "--config", "{conf}"], 2, "dim"),
+    ("rerun-lacks-taxonomy", ["pipeline", "rerun", "--manifest", "{manifest_lacks_taxonomy}", "--out", "{out}"], 2, "taxonomy"),
+    ("rerun-steps-0", ["pipeline", "rerun", "--manifest", "{manifest_steps_0}", "--out", "{out}"], 2, "steps"),
+    ("verify-missing-manifest", ["pipeline", "verify", "--manifest", "{tmp}/absent.json"], 1, "absent.json"),
+    ("report-missing-file", ["report", "{tmp}/absent.json", "--out-csv", "{out}", "--out-svg", "{out}"], 1, "absent.json"),
+    ("taxonomy-validate-missing-file", ["taxonomy", "validate", "{tmp}/absent.txt"], 1, "absent.txt"),
+    ("corpus-gen-n-0", ["corpus", "gen", "--n", "0", "--out", "{out}"], 2, "--n"),
+    ("corpus-gen-seed-not-int", ["corpus", "gen", "--n", "5", "--seed", "1.5", "--out", "{out}"], 2, "--seed"),
+    ("prior-train-batch-size-0", ["prior", "train", "--corpus", "{tmp}/c.jsonl", "--out", "{out}", "--batch-size", "0"], 2, "--batch-size"),
+    ("prior-train-cond-dropout-1", ["prior", "train", "--corpus", "{tmp}/c.jsonl", "--out", "{out}", "--cond-dropout", "1"], 2, "--cond-dropout"),
+    ("prior-train-objective", ["prior", "train", "--corpus", "{tmp}/c.jsonl", "--out", "{out}", "--objective", "gan"], 2, "--objective"),
+    ("prior-sample-steps-0", ["prior", "sample", "--ckpt", "{ckpt}", "--atoms", "head:lion,body:horse", "--steps", "0", "--out", "{out}"], 2, "--steps"),
+    ("prior-sample-cfg-nan", ["prior", "sample", "--ckpt", "{ckpt}", "--atoms", "head:lion,body:horse", "--cfg", "nan", "--out", "{out}"], 2, "--cfg"),
+    ("eval-kid-subsets-1", ["eval", "--ckpt", "{ckpt}", "--out-dir", "{out}", "--kid-subsets", "1"], 2, "--kid-subsets"),
+    ("eval-sample-steps-0", ["eval", "--ckpt", "{ckpt}", "--out-dir", "{out}", "--sample-steps", "0"], 2, "--sample-steps"),
+    ("eval-n-eval-1", ["eval", "--ckpt", "{ckpt}", "--out-dir", "{out}", "--n-eval", "1"], 2, "--n-eval"),
+    ("eval-dim-1", ["eval", "--ckpt", "{ckpt}", "--out-dir", "{out}", "--dim", "1"], 2, "--dim"),
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv, code, text", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
+    def test_one_line_and_no_output(self, tmp_path, capsys, argv, code, text):
+        conf = tmp_path / "run.conf"
+        conf.write_text("dim = 1\n", encoding="utf-8")
+        paths = {"tmp": str(tmp_path), "out": str(tmp_path / "out"), "ckpt": str(_tiny_checkpoint(tmp_path)), "conf": str(conf)}
+        for name, changes in (("lacks_taxonomy", {"taxonomy": None}), ("steps_0", {"steps": 0})):
+            config = {k: v for k, v in {**PIPELINE_DEFAULTS, **changes}.items() if v is not None}
+            manifest = tmp_path / f"{name}.json"
+            manifest.write_text(json.dumps({"version": "0", "config": config, "seeds": {}, "artifacts": {}}), encoding="utf-8")
+            paths[f"manifest_{name}"] = str(manifest)
+        before = sorted(tmp_path.rglob("*"))
+        assert main([arg.format(**paths) for arg in argv]) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and text in err[0], err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["prior-sample", "eval"])
+    def test_non_finite_samples_are_refused(self, tmp_path, capsys, command):
+        ckpt, out = str(_tiny_checkpoint(tmp_path)), tmp_path / "out"
+        if command == "eval":
+            argv = ["eval", "--ckpt", ckpt, "--n-eval", "4", "--sample-steps", "3", "--cfg", "1e308", "--out-dir", str(out)]
+        else:
+            argv = ["prior", "sample", "--ckpt", ckpt, "--atoms", "head:lion,body:horse", "--cfg", "1e308", "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "non-finite" in err[0]
+        assert not out.exists() and "NaN" not in captured.out
+
+
+class TestFlagDefaults:
+    @pytest.mark.parametrize("argv, keys", [
+        (["corpus", "gen", "--n", "5", "--out", "x"], {"taxonomy", "master_seed", "mix_ratio"}),
+        (["prior", "train", "--corpus", "c", "--out", "x"],
+         {"objective", "taxonomy", "world_seed", "dim", "steps", "lr", "batch_size", "cond_dropout", "train_seed"}),
+        (["prior", "sample", "--ckpt", "x"],
+         {"objective", "taxonomy", "world_seed", "dim", "sample_steps", "cfg_scale", "sample_seed"}),
+        (["eval", "--ckpt", "x", "--out-dir", "x"],
+         {"objective", "taxonomy", "world_seed", "dim", "eval_seed", "n_eval", "mix_ratio", "sample_steps",
+          "cfg_scale", "sample_seed", "kid_subsets", "label"}),
+    ], ids=["corpus-gen", "prior-train", "prior-sample", "eval"])
+    def test_every_flag_default_is_the_pipeline_default(self, argv, keys):
+        parsed = vars(build_parser().parse_args(argv))
+        assert {key: parsed.get(key) for key in keys} == {key: PIPELINE_DEFAULTS[key] for key in keys}
