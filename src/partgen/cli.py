@@ -43,6 +43,7 @@ from .taxonomy import (
 from .world import (
     DEFAULT_DIM,
     DEFAULT_WORLD_SEED,
+    SLOT_COUNT,
     WorldSpec,
     compose_target,
     condition_set,
@@ -183,6 +184,8 @@ def _parse_atom_spec(spec: str, taxonomy: Taxonomy) -> list[SemanticAtom]:
         if any(a.part == atom.part for a in atoms):
             raise UsageError(f"--atoms: part {atom.part!r} appears more than once")
         atoms.append(atom)
+    if not 2 <= len(atoms) <= SLOT_COUNT:
+        raise UsageError(f"--atoms: a condition set holds 2-{SLOT_COUNT} atoms, got {len(atoms)}")
     return atoms
 
 

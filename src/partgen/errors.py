@@ -42,10 +42,6 @@ class NonConvergent(PartgenError):
     """A matrix routine failed to produce a usable decomposition."""
 
 
-class GraderUnavailable(PartgenError):
-    """The grading backend stayed unreachable after every retry."""
-
-
 class MalformedVerdict(PartgenError):
     """A grader returned something other than a 0/1 verdict."""
 

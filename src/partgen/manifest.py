@@ -46,9 +46,16 @@ def load_manifest(path: str | Path) -> dict:
         manifest = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot load manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{path}: manifest must be a JSON object")
     for field in ("version", "config", "seeds", "artifacts"):
         if field not in manifest:
             raise ParseError(f"{path}: manifest is missing {field!r}")
+        if field != "version" and not isinstance(manifest[field], dict):
+            raise ParseError(f"{path}: manifest {field!r} must be a JSON object")
+    for name, entry in manifest["artifacts"].items():
+        if not (isinstance(entry, dict) and all(isinstance(entry.get(key), str) for key in ("path", "sha256"))):
+            raise ParseError(f"{path}: artifact {name!r} needs string 'path' and 'sha256'")
     return manifest
 
 

@@ -1,28 +1,21 @@
 """Three-stage part faithfulness metric: extract structured features,
 derive yes/no questions, grade them, and average the normalized scores.
 
-Graders are pluggable. The oracle grader answers object and part questions
-by decoding the generated embedding in the synthetic world; the remote
-grader speaks a small JSON-over-HTTP contract so a hosted multimodal model
-can judge real images through the same interface. Remote verdicts are
-cached on disk keyed by the request hash, retried a bounded number of
-times, and fetched with a bounded number of concurrent requests.
+A grader is any object with ``verdict(subject_ref, question) -> 0 or 1``.
+The shipped grader is the oracle: it answers object and part questions by
+decoding the generated embedding in the synthetic world, and compares the
+other attributes with ground-truth metadata.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
-import time
-from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-import requests
 
-from .errors import GraderUnavailable, MalformedVerdict, MixedScale, ValidationError
+from .errors import MalformedVerdict, MixedScale, ValidationError
 from .taxonomy import SemanticAtom, Taxonomy
 from .world import WorldSpec, decode_parts
 
@@ -101,19 +94,6 @@ def parteval_questions(feature: PartFeature) -> list[EvalQuestion]:
     return questions
 
 
-class StubGrader:
-    """Answers from a fixed verdict or a repeating sequence; for tests."""
-
-    def __init__(self, verdicts: int | Sequence[int] = 1):
-        self._verdicts = [verdicts] if isinstance(verdicts, int) else list(verdicts)
-        self._cursor = 0
-
-    def verdict(self, subject_ref, question: EvalQuestion) -> int:
-        v = self._verdicts[self._cursor % len(self._verdicts)]
-        self._cursor += 1
-        return int(v)
-
-
 class OracleGrader:
     """Grades against the synthetic world's ground truth.
 
@@ -146,88 +126,6 @@ class OracleGrader:
         return int(metadata.get(question.attribute) == question.expected)
 
 
-class RemoteGrader:
-    """JSON-over-HTTP grading backend client.
-
-    POSTs {subject_ref, question, attribute, expected} and expects
-    {"verdict": 0 or 1, "rationale": "..."}. Responses are cached on disk
-    keyed by the SHA-256 of the canonical request body, so reruns and
-    retries never re-ask answered questions.
-    """
-
-    def __init__(
-        self,
-        endpoint: str,
-        auth_token: str | None = None,
-        timeout: float = 10.0,
-        max_retries: int = 3,
-        retry_delay: float = 0.5,
-        cache_dir: str | Path | None = None,
-        max_concurrency: int = 4,
-    ):
-        self.endpoint = endpoint
-        self.auth_token = auth_token
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.retry_delay = retry_delay
-        self.cache_dir = Path(cache_dir) if cache_dir else None
-        if self.cache_dir:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self.max_concurrency = max_concurrency
-
-    def _payload(self, subject_ref, question: EvalQuestion) -> dict:
-        return {
-            "subject_ref": subject_ref,
-            "question": question.text,
-            "attribute": question.attribute,
-            "expected": question.expected,
-        }
-
-    def _cache_path(self, payload: dict) -> Path | None:
-        if not self.cache_dir:
-            return None
-        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
-        return self.cache_dir / f"{digest}.json"
-
-    def verdict(self, subject_ref, question: EvalQuestion) -> int:
-        payload = self._payload(subject_ref, question)
-        cache_path = self._cache_path(payload)
-        if cache_path and cache_path.exists():
-            response = json.loads(cache_path.read_text(encoding="utf-8"))
-            return self._parse_verdict(response)
-        headers = {"Content-Type": "application/json"}
-        if self.auth_token:
-            headers["Authorization"] = f"Bearer {self.auth_token}"
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries):
-            try:
-                http = requests.post(self.endpoint, json=payload, headers=headers, timeout=self.timeout)
-                if http.status_code >= 500:
-                    last_error = GraderUnavailable(f"server error {http.status_code}")
-                elif http.status_code != 200:
-                    raise GraderUnavailable(f"grader rejected the request with status {http.status_code}")
-                else:
-                    response = http.json()
-                    verdict = self._parse_verdict(response)
-                    if cache_path:
-                        cache_path.write_text(json.dumps(response, sort_keys=True), encoding="utf-8")
-                    return verdict
-            except (requests.ConnectionError, requests.Timeout) as exc:
-                last_error = exc
-            except ValueError as exc:  # not JSON
-                raise MalformedVerdict(f"grader returned a non-JSON body: {exc}") from exc
-            if attempt + 1 < self.max_retries:
-                time.sleep(self.retry_delay * (2 ** attempt))
-        raise GraderUnavailable(f"grader unreachable after {self.max_retries} attempts: {last_error}")
-
-    @staticmethod
-    def _parse_verdict(response: dict) -> int:
-        verdict = response.get("verdict") if isinstance(response, dict) else None
-        if verdict not in (0, 1):
-            raise MalformedVerdict(f"verdict must be 0 or 1, got {verdict!r}")
-        return int(verdict)
-
-
 def parteval_grade(grader, subject_ref, questions: Sequence[EvalQuestion]) -> GradeRecord:
     """Stage 3: one 0/1 verdict per question."""
     verdicts = [int(grader.verdict(subject_ref, q)) for q in questions]
@@ -238,17 +136,8 @@ def parteval_grade(grader, subject_ref, questions: Sequence[EvalQuestion]) -> Gr
 
 
 def parteval_grade_many(grader, jobs: Sequence[tuple[object, Sequence[EvalQuestion]]]) -> list[GradeRecord]:
-    """Grade many (subject_ref, questions) jobs.
-
-    Remote graders run with bounded concurrency; everything else stays
-    sequential. Results keep job order either way.
-    """
-    concurrency = getattr(grader, "max_concurrency", 1)
-    if concurrency <= 1 or len(jobs) <= 1:
-        return [parteval_grade(grader, ref, qs) for ref, qs in jobs]
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        futures = [pool.submit(parteval_grade, grader, ref, qs) for ref, qs in jobs]
-        return [f.result() for f in futures]
+    """Grade many (subject_ref, questions) jobs, in job order."""
+    return [parteval_grade(grader, ref, qs) for ref, qs in jobs]
 
 
 def parteval_score(records: Sequence[GradeRecord]) -> float:

@@ -244,6 +244,8 @@ MALFORMED = [
     ("run-config-dim-1", ["pipeline", "run", "--out", "{out}", "--config", "{conf}"], 2, "dim"),
     ("rerun-lacks-taxonomy", ["pipeline", "rerun", "--manifest", "{manifest_lacks_taxonomy}", "--out", "{out}"], 2, "taxonomy"),
     ("rerun-steps-0", ["pipeline", "rerun", "--manifest", "{manifest_steps_0}", "--out", "{out}"], 2, "steps"),
+    ("rerun-config-list", ["pipeline", "rerun", "--manifest", "{manifest_config_list}", "--out", "{out}"], 1, "'config'"),
+    ("verify-artifacts-list", ["pipeline", "verify", "--manifest", "{manifest_artifacts_list}"], 1, "'artifacts'"),
     ("verify-missing-manifest", ["pipeline", "verify", "--manifest", "{tmp}/absent.json"], 1, "absent.json"),
     ("report-missing-file", ["report", "{tmp}/absent.json", "--out-csv", "{out}", "--out-svg", "{out}"], 1, "absent.json"),
     ("taxonomy-validate-missing-file", ["taxonomy", "validate", "{tmp}/absent.txt"], 1, "absent.txt"),
@@ -253,6 +255,9 @@ MALFORMED = [
     ("prior-train-cond-dropout-1", ["prior", "train", "--corpus", "{tmp}/c.jsonl", "--out", "{out}", "--cond-dropout", "1"], 2, "--cond-dropout"),
     ("prior-train-objective", ["prior", "train", "--corpus", "{tmp}/c.jsonl", "--out", "{out}", "--objective", "gan"], 2, "--objective"),
     ("prior-sample-steps-0", ["prior", "sample", "--ckpt", "{ckpt}", "--atoms", "head:lion,body:horse", "--steps", "0", "--out", "{out}"], 2, "--steps"),
+    ("prior-sample-atoms-one", ["prior", "sample", "--ckpt", "{ckpt}", "--atoms", "head:lion", "--out", "{out}"], 2, "--atoms"),
+    ("prior-sample-atoms-five", ["prior", "sample", "--ckpt", "{ckpt}", "--atoms",
+                                "head:lion,body:horse,tail:fox,wings:eagle,legs:camel", "--out", "{out}"], 2, "--atoms"),
     ("prior-sample-cfg-nan", ["prior", "sample", "--ckpt", "{ckpt}", "--atoms", "head:lion,body:horse", "--cfg", "nan", "--out", "{out}"], 2, "--cfg"),
     ("eval-kid-subsets-1", ["eval", "--ckpt", "{ckpt}", "--out-dir", "{out}", "--kid-subsets", "1"], 2, "--kid-subsets"),
     ("eval-sample-steps-0", ["eval", "--ckpt", "{ckpt}", "--out-dir", "{out}", "--sample-steps", "0"], 2, "--sample-steps"),
@@ -267,10 +272,16 @@ class TestMalformedInput:
         conf = tmp_path / "run.conf"
         conf.write_text("dim = 1\n", encoding="utf-8")
         paths = {"tmp": str(tmp_path), "out": str(tmp_path / "out"), "ckpt": str(_tiny_checkpoint(tmp_path)), "conf": str(conf)}
-        for name, changes in (("lacks_taxonomy", {"taxonomy": None}), ("steps_0", {"steps": 0})):
-            config = {k: v for k, v in {**PIPELINE_DEFAULTS, **changes}.items() if v is not None}
+        manifests = {
+            "lacks_taxonomy": {"config": {k: v for k, v in PIPELINE_DEFAULTS.items() if k != "taxonomy"}},
+            "steps_0": {"config": {**PIPELINE_DEFAULTS, "steps": 0}},
+            "artifacts_list": {"artifacts": []},
+            "config_list": {"config": [1]},
+        }
+        for name, fields in manifests.items():
             manifest = tmp_path / f"{name}.json"
-            manifest.write_text(json.dumps({"version": "0", "config": config, "seeds": {}, "artifacts": {}}), encoding="utf-8")
+            body = {"version": "0", "config": PIPELINE_DEFAULTS, "seeds": {}, "artifacts": {}, **fields}
+            manifest.write_text(json.dumps(body), encoding="utf-8")
             paths[f"manifest_{name}"] = str(manifest)
         before = sorted(tmp_path.rglob("*"))
         assert main([arg.format(**paths) for arg in argv]) == code

@@ -63,6 +63,26 @@ def test_load_rejects_bad_json(run_dir):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("fields, text", [
+    ({"seeds": None}, "'seeds' must be a JSON object"),
+    ({"artifacts": {"corpus": {"path": "corpus.jsonl"}}}, "artifact 'corpus' needs"),
+    ({"artifacts": {"corpus": {"path": 3, "sha256": "00"}}}, "artifact 'corpus' needs"),
+    ({"artifacts": {"corpus": "corpus.jsonl"}}, "artifact 'corpus' needs"),
+], ids=["seeds-null", "artifact-no-sha256", "artifact-path-int", "artifact-str"])
+def test_load_rejects_wrong_field_types(run_dir, fields, text):
+    path = run_dir / "typed.json"
+    path.write_text(json.dumps({"version": "0", "config": {}, "seeds": {}, "artifacts": {}, **fields}), encoding="utf-8")
+    with pytest.raises(ParseError, match=text):
+        load_manifest(path)
+
+
+def test_load_rejects_non_object(run_dir):
+    path = run_dir / "list.json"
+    path.write_text("[]", encoding="utf-8")
+    with pytest.raises(ParseError, match="JSON object"):
+        load_manifest(path)
+
+
 def test_verify_clean(run_dir):
     manifest = build_manifest({}, {}, {"corpus": run_dir / "corpus.jsonl"}, run_dir)
     assert verify_artifacts(manifest, run_dir) == []

@@ -1,19 +1,15 @@
 """Part faithfulness metric: extraction, questions, graders, scoring."""
 
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Sequence
 
-import numpy as np
 import pytest
 
-from partgen.errors import GraderUnavailable, MalformedVerdict, MixedScale, ValidationError
+from partgen.errors import MalformedVerdict, MixedScale, ValidationError
 from partgen.parteval import (
+    EvalQuestion,
     GradeRecord,
     OracleGrader,
     PartFeature,
-    RemoteGrader,
-    StubGrader,
     parteval_extract,
     parteval_grade,
     parteval_grade_many,
@@ -28,39 +24,17 @@ def _atom(part="tail", subject="lion", domain="creature"):
     return SemanticAtom(part=part, subject=subject, domain=domain)
 
 
-class _GraderHandler(BaseHTTPRequestHandler):
-    """Scriptable grading endpoint: the server instance carries the plan."""
+class StubGrader:
+    """Answers from a fixed verdict or a repeating sequence."""
 
-    def do_POST(self):
-        plan = self.server.plan
-        plan["calls"] += 1
-        plan["bodies"].append(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
-        plan["auth_headers"].append(self.headers.get("Authorization"))
-        if plan["fail_first"] > 0:
-            plan["fail_first"] -= 1
-            self.send_response(503)
-            self.end_headers()
-            return
-        status = plan.get("status", 200)
-        body = plan.get("body", json.dumps({"verdict": plan.get("verdict", 1), "rationale": "ok"}))
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(body.encode("utf-8"))
+    def __init__(self, verdicts: int | Sequence[int] = 1):
+        self._verdicts = [verdicts] if isinstance(verdicts, int) else list(verdicts)
+        self._cursor = 0
 
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def grader_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _GraderHandler)
-    server.plan = {"calls": 0, "bodies": [], "auth_headers": [], "fail_first": 0}
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server, f"http://127.0.0.1:{server.server_address[1]}/grade"
-    server.shutdown()
-    thread.join(timeout=5)
+    def verdict(self, subject_ref, question: EvalQuestion) -> int:
+        v = self._verdicts[self._cursor % len(self._verdicts)]
+        self._cursor += 1
+        return int(v)
 
 
 class TestExtractAndQuestions:
@@ -97,6 +71,11 @@ class TestGradeArithmetic:
         assert record.verdicts == [1, 0]
         assert record.partial_score == 1 and record.max_score == 2
         assert record.normalized == 0.5
+
+    def test_out_of_range_verdict_is_malformed(self):
+        questions = parteval_questions(parteval_extract(_atom()))
+        with pytest.raises(MalformedVerdict):
+            parteval_grade(StubGrader([1, 2]), {"any": "ref"}, questions)
 
     def test_partial_cannot_exceed_max(self):
         with pytest.raises(ValidationError):
@@ -170,79 +149,6 @@ class TestOracleGrader:
         grader.verdict(ref, question)
         grader.verdict(ref, question)
         assert len(grader._decode_cache) == 1
-
-
-class TestRemoteGrader:
-    QUESTIONS = parteval_questions(PartFeature(object="lion", part="tail"))
-
-    def test_round_trip_and_auth_header(self, grader_server):
-        server, endpoint = grader_server
-        grader = RemoteGrader(endpoint, auth_token="sekret", retry_delay=0.01)
-        record = parteval_grade(grader, {"id": "img-1"}, self.QUESTIONS)
-        assert record.normalized == 1.0
-        assert server.plan["auth_headers"][0] == "Bearer sekret"
-        assert server.plan["bodies"][0]["question"] == self.QUESTIONS[0].text
-        assert server.plan["bodies"][0]["expected"] == "lion"
-
-    def test_disk_cache_prevents_repeat_calls(self, grader_server, tmp_path):
-        server, endpoint = grader_server
-        grader = RemoteGrader(endpoint, cache_dir=tmp_path, retry_delay=0.01)
-        parteval_grade(grader, {"id": "img-2"}, self.QUESTIONS)
-        first_calls = server.plan["calls"]
-        parteval_grade(grader, {"id": "img-2"}, self.QUESTIONS)
-        assert server.plan["calls"] == first_calls
-        assert len(list(tmp_path.glob("*.json"))) == len(self.QUESTIONS)
-
-    def test_retries_transient_server_errors(self, grader_server):
-        server, endpoint = grader_server
-        server.plan["fail_first"] = 2
-        grader = RemoteGrader(endpoint, max_retries=3, retry_delay=0.01)
-        assert grader.verdict({"id": "img-3"}, self.QUESTIONS[0]) == 1
-        assert server.plan["calls"] == 3
-
-    def test_gives_up_after_bounded_retries(self, grader_server):
-        server, endpoint = grader_server
-        server.plan["fail_first"] = 99
-        grader = RemoteGrader(endpoint, max_retries=2, retry_delay=0.01)
-        with pytest.raises(GraderUnavailable):
-            grader.verdict({"id": "img-4"}, self.QUESTIONS[0])
-        assert server.plan["calls"] == 2
-
-    def test_client_error_fails_immediately(self, grader_server):
-        server, endpoint = grader_server
-        server.plan["status"] = 403
-        grader = RemoteGrader(endpoint, max_retries=3, retry_delay=0.01)
-        with pytest.raises(GraderUnavailable):
-            grader.verdict({"id": "img-5"}, self.QUESTIONS[0])
-        assert server.plan["calls"] == 1
-
-    def test_non_json_body_is_malformed(self, grader_server):
-        server, endpoint = grader_server
-        server.plan["body"] = "not json at all"
-        grader = RemoteGrader(endpoint, retry_delay=0.01)
-        with pytest.raises(MalformedVerdict):
-            grader.verdict({"id": "img-6"}, self.QUESTIONS[0])
-
-    def test_out_of_range_verdict_is_malformed(self, grader_server):
-        server, endpoint = grader_server
-        server.plan["body"] = json.dumps({"verdict": 7})
-        grader = RemoteGrader(endpoint, retry_delay=0.01)
-        with pytest.raises(MalformedVerdict):
-            grader.verdict({"id": "img-7"}, self.QUESTIONS[0])
-
-    def test_connection_refused_exhausts_retries(self):
-        grader = RemoteGrader("http://127.0.0.1:9/grade", max_retries=2, retry_delay=0.01)
-        with pytest.raises(GraderUnavailable):
-            grader.verdict({"id": "img-8"}, self.QUESTIONS[0])
-
-    def test_grade_many_preserves_order_under_concurrency(self, grader_server):
-        server, endpoint = grader_server
-        grader = RemoteGrader(endpoint, retry_delay=0.01, max_concurrency=4)
-        jobs = [({"id": f"img-{i}"}, self.QUESTIONS) for i in range(12)]
-        records = parteval_grade_many(grader, jobs)
-        assert len(records) == 12
-        assert all(r.max_score == len(self.QUESTIONS) for r in records)
-        assert server.plan["calls"] == 12 * len(self.QUESTIONS)
 
 
 class TestGradeMany:
