@@ -30,6 +30,7 @@ from .parteval import OracleGrader, parteval_extract, parteval_grade_many, parte
 from .prior import TrainConfig, sample_diffusion_batch, sample_flow_batch, train, write_loss_csv
 from .report import complexity_report, load_report, svg_bar_chart, write_report
 from .taxonomy import (
+    MIN_ATOMS_PER_PROMPT,
     HybridPrompt,
     SemanticAtom,
     Taxonomy,
@@ -184,8 +185,8 @@ def _parse_atom_spec(spec: str, taxonomy: Taxonomy) -> list[SemanticAtom]:
         if any(a.part == atom.part for a in atoms):
             raise UsageError(f"--atoms: part {atom.part!r} appears more than once")
         atoms.append(atom)
-    if not 2 <= len(atoms) <= SLOT_COUNT:
-        raise UsageError(f"--atoms: a condition set holds 2-{SLOT_COUNT} atoms, got {len(atoms)}")
+    if not MIN_ATOMS_PER_PROMPT <= len(atoms) <= SLOT_COUNT:
+        raise UsageError(f"--atoms: a condition set holds {MIN_ATOMS_PER_PROMPT}-{SLOT_COUNT} atoms, got {len(atoms)}")
     return atoms
 
 

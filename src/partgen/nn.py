@@ -48,13 +48,6 @@ class DenseNet:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def copy(self) -> "DenseNet":
-        return DenseNet(
-            layer_dims=list(self.layer_dims),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
 
 @dataclasses.dataclass
 class Tape:
@@ -63,7 +56,6 @@ class Tape:
     activations: list[np.ndarray]  # inputs to each layer, then the output
     pre_activations: list[np.ndarray]
     sigmoids: list[np.ndarray]  # sigmoid(z) of each hidden layer, reused by backward
-    squeezed: bool
     dtype: np.dtype
 
 
@@ -74,12 +66,6 @@ class Gradients:
 
     def any_nonfinite(self) -> bool:
         return any(not np.all(np.isfinite(g)) for g in self.weights + self.biases)
-
-    def scaled(self, factor: float) -> "Gradients":
-        return Gradients(
-            weights=[factor * g for g in self.weights],
-            biases=[factor * g for g in self.biases],
-        )
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -94,11 +80,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def forward(net: DenseNet, x: np.ndarray, dtype: type = np.float32) -> tuple[np.ndarray, Tape]:
-    """Run the network; returns the output and the tape for backward."""
+    """Run the network on a (batch, in) array; returns the output and the
+    tape for backward."""
     x = np.asarray(x, dtype=dtype)
-    squeezed = x.ndim == 1
-    if squeezed:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != net.layer_dims[0]:
         raise DimensionMismatch(f"input shape {x.shape} does not match first layer dim {net.layer_dims[0]}")
     activations = [x]
@@ -114,8 +98,7 @@ def forward(net: DenseNet, x: np.ndarray, dtype: type = np.float32) -> tuple[np.
             sigmoids.append(_sigmoid(z))
             h = z * sigmoids[-1]
         activations.append(h)
-    y = h[0] if squeezed else h
-    return y, Tape(activations, pre_activations, sigmoids, squeezed, np.dtype(dtype))
+    return h, Tape(activations, pre_activations, sigmoids, np.dtype(dtype))
 
 
 def backward(net: DenseNet, tape: Tape, dloss_dy: np.ndarray) -> Gradients:
@@ -123,8 +106,6 @@ def backward(net: DenseNet, tape: Tape, dloss_dy: np.ndarray) -> Gradients:
     given, in the tape's compute dtype."""
     dtype = tape.dtype
     delta = np.asarray(dloss_dy, dtype=dtype)
-    if tape.squeezed:
-        delta = delta[None, :]
     if delta.shape != tape.activations[-1].shape:
         raise DimensionMismatch(f"output gradient shape {delta.shape} does not match forward output {tape.activations[-1].shape}")
     grad_w: list[np.ndarray] = [np.empty(0)] * net.n_layers

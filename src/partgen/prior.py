@@ -37,21 +37,15 @@ def default_layer_dims(d: int) -> list[int]:
     return [input_dim(d)] + DEFAULT_HIDDEN_DIMS + [d]
 
 
-@dataclasses.dataclass
 class NoiseSchedule:
-    """Linear beta schedule. alpha_bar(0) is defined as 1; alpha_bar(1) is
-    alpha_1, and the product decays strictly from there."""
+    """Linear beta schedule from 1e-4 to 0.02 over T = 1000 steps.
+    alpha_bar(0) is defined as 1; alpha_bar(1) is alpha_1, and the product
+    decays strictly from there."""
 
-    T: int = 1000
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
+    T = 1000
 
-    def __post_init__(self) -> None:
-        self.betas = np.linspace(self.beta_start, self.beta_end, self.T)
-        if not (np.all(self.betas > 0) and np.all(self.betas < 1)):
-            raise ValidationError("betas must lie strictly inside (0, 1)")
-        self.alphas = 1.0 - self.betas
-        self.alpha_bars = np.cumprod(self.alphas)
+    def __init__(self) -> None:
+        self.alpha_bars = np.cumprod(1.0 - np.linspace(1e-4, 0.02, self.T))
 
     def alpha_bar(self, t: int | np.ndarray) -> float | np.ndarray:
         t = np.asarray(t)
@@ -236,7 +230,6 @@ class TrainConfig:
     steps: int = 20000
     cond_dropout: float = 0.1
     seed: int = 0
-    cosine_lr_decay: bool = True
     hidden_dims: list[int] = dataclasses.field(default_factory=lambda: list(DEFAULT_HIDDEN_DIMS))
 
     def __post_init__(self) -> None:
@@ -261,8 +254,7 @@ def train(config: TrainConfig, dataset: Sequence[tuple[ConditionSet, np.ndarray]
     Each step draws the batch indices, then the objective's draws, from one
     seeded stream, and regresses through the same objective function as the
     loss_* helpers. The learning rate follows a half-cosine from config.lr
-    to zero unless cosine_lr_decay is off. A non-finite loss aborts with
-    the step index.
+    to zero. A non-finite loss aborts with the step index.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
@@ -284,9 +276,7 @@ def train(config: TrainConfig, dataset: Sequence[tuple[ConditionSet, np.ndarray]
         except NonFiniteLoss as exc:
             raise NonFiniteLoss(f"{exc} at training step {step}") from exc
         losses.append(loss)
-        lr = config.lr
-        if config.cosine_lr_decay:
-            lr = config.lr * 0.5 * (1.0 + np.cos(np.pi * step / config.steps))
+        lr = config.lr * 0.5 * (1.0 + np.cos(np.pi * step / config.steps))
         adam_step(net, grads, adam, lr=lr)
     return TrainResult(net=net, adam=adam, losses=losses)
 
@@ -354,7 +344,6 @@ def sample_diffusion_batch(
     net,
     conds: Sequence[ConditionSet],
     d: int,
-    sched: NoiseSchedule | None = None,
     n_steps: int = 50,
     cfg_scale: float = 1.0,
     seed: int = 0,
@@ -368,7 +357,7 @@ def sample_diffusion_batch(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    sched = sched or NoiseSchedule()
+    sched = NoiseSchedule()
     timesteps = np.unique(np.linspace(1, sched.T, min(n_steps, sched.T)).round().astype(int))[::-1]
     blocks, masks = condition_features(conds, d)
     x = np.stack([np.random.default_rng(combine_seed(seed, i)).standard_normal(d) for i in range(len(conds))])

@@ -116,18 +116,6 @@ class HybridPrompt:
             "render": self.render.to_dict(),
         }
 
-    @staticmethod
-    def from_dict(obj: dict) -> "HybridPrompt":
-        return HybridPrompt(
-            id=int(obj["id"]),
-            prefix=obj["prefix"],
-            domain_mix=bool(obj["domain_mix"]),
-            atoms=[SemanticAtom(a["part"], a["subject"], a["domain"]) for a in obj["atoms"]],
-            text=obj["text"],
-            seed=int(obj["seed"]),
-            render=RenderConfig(**obj["render"]),
-        )
-
 
 def default_taxonomy_path() -> Path:
     resource = importlib.resources.files("partgen").joinpath("data/default_taxonomy.txt")
@@ -282,6 +270,11 @@ class AtomPools:
             start = stop
 
     def sample(self, rng: np.random.Generator, k: int, mix_domains: bool) -> list[SemanticAtom]:
+        """Draw k distinct-part atoms, from one uniform domain unless mixing.
+
+        Each draw is uniform over the pool's atoms of the not-yet-used
+        parts, so parts with more subjects are proportionally more likely.
+        """
         if not (MIN_ATOMS_PER_PROMPT <= k <= MAX_ATOMS_PER_PROMPT):
             raise ValueError(f"k must be in [{MIN_ATOMS_PER_PROMPT}, {MAX_ATOMS_PER_PROMPT}], got {k}")
         if mix_domains:
@@ -289,21 +282,6 @@ class AtomPools:
         else:
             pool = self.domains[int(rng.integers(len(self.domains)))]
         return pool.draw(rng, k)
-
-
-def sample_atoms(
-    taxonomy: Taxonomy,
-    rng: np.random.Generator,
-    k: int,
-    mix_domains: bool,
-) -> list[SemanticAtom]:
-    """Draw k distinct-part atoms, from one uniform domain unless mixing.
-
-    Each draw is uniform over the not-yet-excluded atoms of the pool, so
-    parts with more subjects are proportionally more likely. A part name can
-    appear at most once per sample.
-    """
-    return AtomPools(taxonomy).sample(rng, k, mix_domains)
 
 
 def render_prompt(prefix: str, atoms: Sequence[SemanticAtom]) -> str:
@@ -322,13 +300,7 @@ def render_prompt(prefix: str, atoms: Sequence[SemanticAtom]) -> str:
     return f"{prefix} with {joined}."
 
 
-def generate_record(
-    taxonomy: Taxonomy,
-    index: int,
-    master_seed: int,
-    mix_ratio: float,
-    render: RenderConfig | None = None,
-) -> HybridPrompt:
+def _generate_record(taxonomy: Taxonomy, pools: AtomPools, index: int, master_seed: int, mix_ratio: float) -> HybridPrompt:
     """Generate corpus record ``index`` from its own derived seed.
 
     The draw order within the per-item generator is fixed: k, then the
@@ -337,17 +309,6 @@ def generate_record(
     order. Changing it would silently change every corpus, so it is part of
     the format.
     """
-    return _generate_record(taxonomy, AtomPools(taxonomy), index, master_seed, mix_ratio, render)
-
-
-def _generate_record(
-    taxonomy: Taxonomy,
-    pools: AtomPools,
-    index: int,
-    master_seed: int,
-    mix_ratio: float,
-    render: RenderConfig | None,
-) -> HybridPrompt:
     rng = np.random.default_rng(combine_seed(master_seed, index))
     k = int(rng.integers(MIN_ATOMS_PER_PROMPT, MAX_ATOMS_PER_PROMPT + 1))
     mix = bool(rng.random() < mix_ratio)
@@ -361,7 +322,7 @@ def _generate_record(
         atoms=atoms,
         text=text,
         seed=derive_seed(text),
-        render=render or RenderConfig(),
+        render=RenderConfig(),
     )
 
 
@@ -370,17 +331,15 @@ def generate_corpus(
     n: int,
     master_seed: int,
     mix_ratio: float = 0.5,
-    render: RenderConfig | None = None,
 ) -> Iterator[HybridPrompt]:
     """Yield records 0..n-1; output depends only on the arguments."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not (0.0 <= mix_ratio <= 1.0):
         raise ValueError("mix_ratio must be within [0, 1]")
-    render = render or RenderConfig()
     pools = AtomPools(taxonomy)
     for i in range(n):
-        yield _generate_record(taxonomy, pools, i, master_seed, mix_ratio, render)
+        yield _generate_record(taxonomy, pools, i, master_seed, mix_ratio)
 
 
 def write_corpus(records: Iterable[HybridPrompt], path: str | Path) -> int:
@@ -395,7 +354,10 @@ def write_corpus(records: Iterable[HybridPrompt], path: str | Path) -> int:
 
 
 def read_corpus(path: str | Path) -> list[HybridPrompt]:
+    """The records of a JSONL corpus. Each distinct atom is built, and so
+    checked, once per call; a bad record is a ParseError naming its line."""
     records = []
+    atoms: dict[tuple[str, str, str], SemanticAtom] = {}
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -406,7 +368,22 @@ def read_corpus(path: str | Path) -> list[HybridPrompt]:
             if not line:
                 continue
             try:
-                records.append(HybridPrompt.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                obj = json.loads(line)
+                keys = [(a["part"], a["subject"], a["domain"]) for a in obj["atoms"]]
+                for key in keys:
+                    if key not in atoms:
+                        atoms[key] = SemanticAtom(*key)
+                records.append(
+                    HybridPrompt(
+                        id=int(obj["id"]),
+                        prefix=obj["prefix"],
+                        domain_mix=bool(obj["domain_mix"]),
+                        atoms=[atoms[key] for key in keys],
+                        text=obj["text"],
+                        seed=int(obj["seed"]),
+                        render=RenderConfig(**obj["render"]),
+                    )
+                )
+            except (ValueError, KeyError, TypeError, AttributeError, ValidationError) as exc:
                 raise ParseError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
     return records

@@ -16,7 +16,6 @@ corpus-scale round-trip we have measured (0 failures in 32k tuples).
 from __future__ import annotations
 
 import dataclasses
-import json
 import struct
 from pathlib import Path
 from typing import Sequence
@@ -25,11 +24,11 @@ import numpy as np
 
 from .errors import DimensionMismatch, ParseError, UnknownAtom, ValidationError, exact_reader
 from .hashing import tagged_seed
-from .taxonomy import HybridPrompt, SemanticAtom, Taxonomy, enumerate_atoms
+from .taxonomy import MAX_ATOMS_PER_PROMPT, MIN_ATOMS_PER_PROMPT, HybridPrompt, SemanticAtom, Taxonomy, enumerate_atoms
 
 DEFAULT_WORLD_SEED = 8
 DEFAULT_DIM = 64
-SLOT_COUNT = 4
+SLOT_COUNT = MAX_ATOMS_PER_PROMPT
 
 DATASET_MAGIC = b"PGDS"
 DATASET_VERSION = 1
@@ -56,11 +55,8 @@ def _atom_vector(world_seed: int, atom: SemanticAtom, d: int) -> np.ndarray:
 
 
 class WorldSpec:
-    """All derived state for one (world_seed, d, taxonomy) triple.
-
-    Only world_seed and d are ever serialized; rotations and atom embeddings
-    are rederived on construction.
-    """
+    """All derived state for one (world_seed, d, taxonomy) triple: the slot
+    rotations and atom embeddings are derived on construction."""
 
     def __init__(self, taxonomy: Taxonomy, world_seed: int = DEFAULT_WORLD_SEED, d: int = DEFAULT_DIM):
         if d < 2:
@@ -89,19 +85,6 @@ class WorldSpec:
             self._pair_grams[key] = self.rotated_embeddings[i] @ self.rotated_embeddings[j].T
         return self._pair_grams[key]
 
-    def to_json(self) -> str:
-        return json.dumps({"world_seed": self.world_seed, "d": self.d})
-
-    @staticmethod
-    def from_json(text: str, taxonomy: Taxonomy) -> "WorldSpec":
-        obj = json.loads(text)
-        return WorldSpec(taxonomy, world_seed=int(obj["world_seed"]), d=int(obj["d"]))
-
-
-def atom_embedding(atom: SemanticAtom, world: WorldSpec) -> np.ndarray:
-    """Unit embedding for an atom; a copy, safe to mutate."""
-    return world.embeddings[world.index_of(atom)].copy()
-
 
 @dataclasses.dataclass
 class ConditionSet:
@@ -111,8 +94,8 @@ class ConditionSet:
     embeddings: np.ndarray  # (k, d)
 
     def __post_init__(self) -> None:
-        if not (2 <= len(self.atoms) <= SLOT_COUNT):
-            raise ValidationError(f"condition sets hold 2-{SLOT_COUNT} slots, got {len(self.atoms)}")
+        if not (MIN_ATOMS_PER_PROMPT <= len(self.atoms) <= SLOT_COUNT):
+            raise ValidationError(f"condition sets hold {MIN_ATOMS_PER_PROMPT}-{SLOT_COUNT} slots, got {len(self.atoms)}")
         if self.embeddings.shape != (len(self.atoms), self.embeddings.shape[1]):
             raise DimensionMismatch("one embedding row per atom required")
 
@@ -225,8 +208,8 @@ def decode_parts(e: np.ndarray, k: int, taxonomy: Taxonomy, world: WorldSpec) ->
     cosine stops improving. An exact composition is recognized by reaching
     cosine 1 and stops the ladder early.
     """
-    if not (2 <= k <= SLOT_COUNT):
-        raise ValueError(f"k must be in [2, {SLOT_COUNT}], got {k}")
+    if not (MIN_ATOMS_PER_PROMPT <= k <= SLOT_COUNT):
+        raise ValueError(f"k must be in [{MIN_ATOMS_PER_PROMPT}, {SLOT_COUNT}], got {k}")
     e = np.asarray(e, dtype=np.float64)
     if e.shape != (world.d,):
         raise DimensionMismatch(f"expected a vector of dim {world.d}, got shape {e.shape}")
@@ -291,8 +274,8 @@ def load_dataset(path: str | Path, world: WorldSpec) -> list[tuple[ConditionSet,
         pairs = []
         for _ in range(count):
             (k,) = struct.unpack("<B", read(1))
-            if not (2 <= k <= SLOT_COUNT):
-                raise ParseError(f"{path}: record slot count {k} is outside [2, {SLOT_COUNT}] at offset {fh.tell() - 1}")
+            if not (MIN_ATOMS_PER_PROMPT <= k <= SLOT_COUNT):
+                raise ParseError(f"{path}: record slot count {k} is outside [{MIN_ATOMS_PER_PROMPT}, {SLOT_COUNT}] at offset {fh.tell() - 1}")
             indices = struct.unpack(f"<{k}I", read(4 * k))
             if max(indices) >= len(world.atoms):
                 raise ParseError(f"{path}: atom index {max(indices)} is out of range for {len(world.atoms)} atoms")

@@ -1,5 +1,6 @@
 """Dense network: forward/backward math, Adam, checkpoints, gradient checks."""
 
+import copy
 import struct
 
 import numpy as np
@@ -9,6 +10,7 @@ from partgen.errors import DimensionMismatch, NonFiniteGradient, ParseError
 from partgen.nn import (
     AdamState,
     DenseNet,
+    Gradients,
     _sigmoid,
     adam_step,
     backward,
@@ -74,13 +76,6 @@ class TestForward:
         assert y.shape == (5, 4)
         assert len(tape.pre_activations) == 3
 
-    def test_single_vector_matches_batch(self, small_net):
-        x = np.random.default_rng(1).standard_normal(6)
-        single, _ = forward(small_net, x)
-        batched, _ = forward(small_net, x[None, :])
-        assert single.shape == (4,)
-        assert np.allclose(single, batched[0])
-
     def test_silu_hidden_identity_output(self):
         # one weight=1 path through a single hidden unit exposes the activation
         net = DenseNet.init([1, 1, 1], seed=0)
@@ -89,9 +84,9 @@ class TestForward:
         net.weights[1][:] = 1.0
         net.biases[1][:] = 0.0
         for z in (-2.0, -0.5, 0.0, 0.7, 3.0):
-            y, _ = forward(net, np.array([z]), dtype=np.float64)
+            y, _ = forward(net, np.array([[z]]), dtype=np.float64)
             expected = z / (1.0 + np.exp(-z)) if z != 0.0 else 0.0
-            assert abs(float(y[0]) - expected) < 1e-12
+            assert abs(float(y[0, 0]) - expected) < 1e-12
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sigmoid_matches_mask_reference_bitwise(self, dtype):
@@ -108,6 +103,8 @@ class TestForward:
     def test_dimension_mismatch(self, small_net):
         with pytest.raises(DimensionMismatch):
             forward(small_net, np.zeros((3, 7)))
+        with pytest.raises(DimensionMismatch):
+            forward(small_net, np.zeros(6))  # a single vector is not a batch
 
     def test_init_bounds_and_determinism(self):
         net = DenseNet.init([100, 50, 10], seed=3)
@@ -132,8 +129,8 @@ class TestBackward:
 class TestAdam:
     def test_zero_gradient_is_noop(self, small_net):
         state = AdamState.init(small_net)
-        change = small_net.copy()
-        zero = _quadratic_loss(small_net, np.zeros((2, 6)), np.zeros((2, 4)))[1].scaled(0.0)
+        change = copy.deepcopy(small_net)
+        zero = Gradients(weights=[np.zeros_like(w) for w in small_net.weights], biases=[np.zeros_like(b) for b in small_net.biases])
         adam_step(change, zero, state)
         for w, w2 in zip(small_net.weights, change.weights):
             assert np.array_equal(w, w2)
@@ -143,7 +140,7 @@ class TestAdam:
         rng = np.random.default_rng(4)
         x, y = rng.standard_normal((8, 6)), rng.standard_normal((8, 4))
         _, grads = _quadratic_loss(small_net, x, y, dtype=np.float32)
-        before = small_net.copy()
+        before = copy.deepcopy(small_net)
         state = AdamState.init(small_net, lr=1e-3)
         adam_step(small_net, grads, state)
         delta = np.abs(small_net.weights[0] - before.weights[0])
@@ -156,7 +153,7 @@ class TestAdam:
         state = AdamState.init(small_net)
         _, grads = _quadratic_loss(small_net, np.ones((2, 6)), np.ones((2, 4)))
         grads.weights[0][0, 0] = np.nan
-        before = small_net.copy()
+        before = copy.deepcopy(small_net)
         with pytest.raises(NonFiniteGradient):
             adam_step(small_net, grads, state)
         for w, w2 in zip(small_net.weights, before.weights):
@@ -178,7 +175,7 @@ class TestAdam:
     def test_matches_allocating_reference_bitwise(self, small_net, lr_type):
         # the cosine schedule passes lr as np.float64, which promotes the
         # update to float64 before it is rounded for the subtraction
-        net, ref_net = small_net, small_net.copy()
+        net, ref_net = small_net, copy.deepcopy(small_net)
         state, ref_state = AdamState.init(net), AdamState.init(ref_net)
         rng = np.random.default_rng(8)
         for step in range(1, 21):

@@ -11,20 +11,18 @@ from partgen.errors import InsufficientAtoms, ParseError, ValidationError
 from partgen.hashing import fnv1a_64
 from partgen.taxonomy import (
     DOMAIN_NAMES,
-    HybridPrompt,
     AtomPool,
+    AtomPools,
     RenderConfig,
     SemanticAtom,
     default_taxonomy_path,
     enumerate_atoms,
     generate_corpus,
-    generate_record,
     load_default_taxonomy,
     load_taxonomy,
     parse_taxonomy,
     read_corpus,
     render_prompt,
-    sample_atoms,
     validate,
     write_corpus,
 )
@@ -156,24 +154,24 @@ class TestSampling:
     def test_distinct_parts(self, taxonomy):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            atoms = sample_atoms(taxonomy, rng, 4, mix_domains=True)
+            atoms = AtomPools(taxonomy).sample(rng, 4, mix_domains=True)
             assert len({a.part for a in atoms}) == 4
 
     def test_single_domain_when_not_mixing(self, taxonomy):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            atoms = sample_atoms(taxonomy, rng, 3, mix_domains=False)
+            atoms = AtomPools(taxonomy).sample(rng, 3, mix_domains=False)
             assert len({a.domain for a in atoms}) == 1
 
     def test_insufficient_parts(self):
         text = "domain creature\nprefix A creature\npart tail: lion, fox, cat, dog, elk, bat\n"
         taxonomy = parse_taxonomy(text)  # parse only; validation would reject it
         with pytest.raises(InsufficientAtoms):
-            sample_atoms(taxonomy, np.random.default_rng(0), 2, mix_domains=False)
+            AtomPools(taxonomy).sample(np.random.default_rng(0), 2, mix_domains=False)
 
     def test_k_bounds(self, taxonomy):
         with pytest.raises(ValueError):
-            sample_atoms(taxonomy, np.random.default_rng(0), 5, mix_domains=True)
+            AtomPools(taxonomy).sample(np.random.default_rng(0), 5, mix_domains=True)
 
     def test_pool_draw_matches_filtered_list(self):
         # "tail" appears in two domains, so its atoms are split into two runs of the mixed pool
@@ -201,7 +199,7 @@ class TestSampling:
 
 class TestCorpus:
     def test_record_fields(self, taxonomy):
-        record = generate_record(taxonomy, index=7, master_seed=11, mix_ratio=0.5)
+        record = list(generate_corpus(taxonomy, 8, master_seed=11, mix_ratio=0.5))[7]
         assert record.id == 7
         assert 2 <= len(record.atoms) <= 4
         assert record.prefix == taxonomy.domain(record.atoms[0].domain).prefix
@@ -278,6 +276,31 @@ class TestCorpus:
         assert old_key in keys_before and new_key not in keys_before
         assert new_key in keys_after and old_key not in keys_after
 
-    def test_dict_round_trip(self, taxonomy):
-        record = generate_record(taxonomy, index=0, master_seed=0, mix_ratio=0.5)
-        assert HybridPrompt.from_dict(record.to_dict()).to_dict() == record.to_dict()
+    def test_dict_round_trip(self, taxonomy, tmp_path):
+        # a record read back from its corpus line equals the generated one, field for field
+        record = next(generate_corpus(taxonomy, 1, master_seed=0, mix_ratio=0.5))
+        write_corpus([record], tmp_path / "one.jsonl")
+        assert read_corpus(tmp_path / "one.jsonl") == [record]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("subject", "Lion"), ("domain", "gadget"), ("part", 7), ("id", "seven")],
+        ids=["uppercase-subject", "unknown-domain", "numeric-part", "non-numeric-id"],
+    )
+    def test_read_corpus_names_the_line_of_a_bad_record(self, taxonomy, tmp_path, field, value):
+        records = [r.to_dict() for r in generate_corpus(taxonomy, 3, master_seed=0)]
+        if field == "id":
+            records[1]["id"] = value
+        else:
+            records[1]["atoms"][0][field] = value
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        with pytest.raises(ParseError, match=r"corpus\.jsonl:2: bad corpus record: "):
+            read_corpus(path)
+
+    def test_read_corpus_builds_each_atom_once(self, taxonomy, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(generate_corpus(taxonomy, 200, master_seed=1), path)
+        records = read_corpus(path)
+        atoms = [a for r in records for a in r.atoms]
+        assert len({id(a) for a in atoms}) == len(set(atoms)) < len(atoms)

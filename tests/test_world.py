@@ -12,7 +12,6 @@ from partgen.world import (
     SLOT_COUNT,
     ConditionSet,
     WorldSpec,
-    atom_embedding,
     compose_target,
     condition_set,
     decode_parts,
@@ -69,7 +68,7 @@ class TestGeometry:
     def test_atom_embedding_lookup(self, taxonomy, world):
         atom = taxonomy.domains[0].parts[0]
         atom = SemanticAtom(part=atom.part_name, subject=atom.subjects[0], domain=taxonomy.domains[0].name)
-        vec = atom_embedding(atom, world)
+        vec = world.embeddings[world.index_of(atom)]
         assert vec.shape == (world.d,)
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
 
@@ -77,11 +76,6 @@ class TestGeometry:
         ghost = SemanticAtom(part="head", subject="nonexistentsubject", domain="creature")
         with pytest.raises(UnknownAtom):
             world.index_of(ghost)
-
-    def test_json_round_trip(self, taxonomy, world):
-        clone = WorldSpec.from_json(world.to_json(), taxonomy)
-        assert clone.world_seed == world.world_seed and clone.d == world.d
-        assert np.array_equal(clone.embeddings, world.embeddings)
 
 
 class TestComposition:
