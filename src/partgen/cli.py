@@ -26,7 +26,7 @@ from .hashing import combine_seed
 from .manifest import build_manifest, load_manifest, verify_artifacts, write_manifest
 from .metrics import compositional_accuracy, compositional_accuracy_by_k, fid, gaussian_stats, kid
 from .nn import load_checkpoint, save_checkpoint
-from .parteval import OracleGrader, parteval_extract, parteval_grade_many, parteval_questions, parteval_score
+from .parteval import OracleGrader, parteval_grade_many, parteval_questions, parteval_score
 from .prior import TrainConfig, sample_diffusion_batch, sample_flow_batch, train, write_loss_csv
 from .report import complexity_report, load_report, svg_bar_chart, write_report
 from .taxonomy import (
@@ -326,7 +326,7 @@ def run_eval_stage(
     cosines = np.sum(generated * targets, axis=1)
 
     jobs = [
-        ({"embedding": gen, "k": cond.k, "slot": slot}, parteval_questions(parteval_extract(atom)))
+        ({"embedding": gen, "k": cond.k, "slot": slot}, parteval_questions(atom))
         for cond, gen in zip(conds, generated)
         for slot, atom in enumerate(cond.atoms)
     ]
@@ -594,7 +594,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except PartgenError as exc:
+    except (PartgenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,17 +1,17 @@
-"""Three-stage part faithfulness metric: extract structured features,
-derive yes/no questions, grade them, and average the normalized scores.
+"""Part faithfulness metric: ask yes/no questions about each requested
+part, grade them, and average the normalized scores.
 
-A grader is any object with ``verdict(subject_ref, question) -> 0 or 1``.
-The shipped grader is the oracle: it answers object and part questions by
-decoding the generated embedding in the synthetic world, and compares the
-other attributes with ground-truth metadata.
+A prompt specifies ⟨part, subject⟩ atoms, so each atom yields two
+questions: is the part that of the subject (object), and is the part there
+(part). A grader is any object with ``verdict(subject_ref, question) -> 0
+or 1``. The shipped grader is the oracle: it answers both questions by
+decoding the generated embedding in the synthetic world.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,31 +19,10 @@ from .errors import MalformedVerdict, MixedScale, ValidationError
 from .taxonomy import SemanticAtom, Taxonomy
 from .world import WorldSpec, decode_parts
 
-UNSPECIFIED = "unspecified"
-ATTRIBUTES = ("object", "part", "color", "texture", "spatial_relation")
-
 QUESTION_TEMPLATES = {
     "object": "Is the {part} recognizably that of a {expected}?",
     "part": "Does the output show a distinct {part}?",
-    "color": "Is the {part} {expected} in color?",
-    "texture": "Does the {part} have a {expected} texture?",
-    "spatial_relation": "Is the {part} positioned {expected}?",
 }
-
-
-@dataclasses.dataclass
-class PartFeature:
-    object: str
-    part: str
-    color: str = UNSPECIFIED
-    texture: str = UNSPECIFIED
-    spatial_relation: str = UNSPECIFIED
-
-    def __post_init__(self) -> None:
-        if not self.object or self.object == UNSPECIFIED:
-            raise ValidationError("PartFeature requires a specified object")
-        if not self.part or self.part == UNSPECIFIED:
-            raise ValidationError("PartFeature requires a specified part")
 
 
 @dataclasses.dataclass
@@ -51,6 +30,10 @@ class EvalQuestion:
     text: str
     attribute: str
     expected: str
+
+    def __post_init__(self) -> None:
+        if self.attribute not in QUESTION_TEMPLATES:
+            raise ValidationError(f"question attribute must be one of {', '.join(QUESTION_TEMPLATES)}, got {self.attribute!r}")
 
 
 @dataclasses.dataclass
@@ -68,66 +51,38 @@ class GradeRecord:
         return self.partial_score / self.max_score
 
 
-def parteval_extract(atom: SemanticAtom, metadata: Mapping[str, str] | None = None) -> PartFeature:
-    """Stage 1: the atom itself fixes object and part; other attributes come
-    from ground-truth metadata when available."""
-    metadata = metadata or {}
-    return PartFeature(
-        object=atom.subject,
-        part=atom.part,
-        color=metadata.get("color", UNSPECIFIED),
-        texture=metadata.get("texture", UNSPECIFIED),
-        spatial_relation=metadata.get("spatial_relation", UNSPECIFIED),
-    )
-
-
-def parteval_questions(feature: PartFeature) -> list[EvalQuestion]:
-    """Stage 2: one templated question per specified attribute, in the fixed
-    order object, part, color, texture, spatial_relation."""
-    questions = []
-    for attribute in ATTRIBUTES:
-        expected = getattr(feature, attribute)
-        if expected == UNSPECIFIED:
-            continue
-        text = QUESTION_TEMPLATES[attribute].format(part=feature.part, expected=expected)
-        questions.append(EvalQuestion(text=text, attribute=attribute, expected=expected))
-    return questions
+def parteval_questions(atom: SemanticAtom) -> list[EvalQuestion]:
+    """The atom's object question, then its part question."""
+    return [
+        EvalQuestion(QUESTION_TEMPLATES[attribute].format(part=atom.part, expected=expected), attribute, expected)
+        for attribute, expected in (("object", atom.subject), ("part", atom.part))
+    ]
 
 
 class OracleGrader:
     """Grades against the synthetic world's ground truth.
 
     subject_ref must be a mapping with "embedding" (the generated vector),
-    "k", and "slot"; object and part questions check the decoded atom at
-    that slot. Other attributes compare against subject_ref["metadata"].
+    "k", and "slot"; a question is checked against the decoded atom at that
+    slot. Each (embedding, k) is decoded once per grader.
     """
 
     def __init__(self, taxonomy: Taxonomy, world: WorldSpec):
         self.taxonomy = taxonomy
         self.world = world
-        self._decode_cache: dict[bytes, list[SemanticAtom]] = {}
-
-    def _decode(self, embedding: np.ndarray, k: int) -> list[SemanticAtom]:
-        key = hashlib.sha256(np.asarray(embedding, dtype=np.float64).tobytes() + bytes([k])).digest()
-        if key not in self._decode_cache:
-            self._decode_cache[key] = decode_parts(embedding, k, self.taxonomy, self.world)
-        return self._decode_cache[key]
+        self._decode_cache: dict[tuple[bytes, int], list[SemanticAtom]] = {}
 
     def verdict(self, subject_ref, question: EvalQuestion) -> int:
         embedding = np.asarray(subject_ref["embedding"], dtype=np.float64)
-        decoded = self._decode(embedding, int(subject_ref["k"]))
-        slot = int(subject_ref["slot"])
-        atom = decoded[slot]
-        if question.attribute == "object":
-            return int(atom.subject == question.expected)
-        if question.attribute == "part":
-            return int(atom.part == question.expected)
-        metadata = subject_ref.get("metadata") or {}
-        return int(metadata.get(question.attribute) == question.expected)
+        key = (embedding.tobytes(), int(subject_ref["k"]))
+        if key not in self._decode_cache:
+            self._decode_cache[key] = decode_parts(embedding, key[1], self.taxonomy, self.world)
+        atom = self._decode_cache[key][int(subject_ref["slot"])]
+        return int((atom.subject if question.attribute == "object" else atom.part) == question.expected)
 
 
 def parteval_grade(grader, subject_ref, questions: Sequence[EvalQuestion]) -> GradeRecord:
-    """Stage 3: one 0/1 verdict per question."""
+    """One 0/1 verdict per question."""
     verdicts = [int(grader.verdict(subject_ref, q)) for q in questions]
     for v in verdicts:
         if v not in (0, 1):

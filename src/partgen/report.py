@@ -25,6 +25,8 @@ def load_report(path: str | Path) -> dict:
         report = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedReport(f"cannot load report {path}: {exc}") from exc
+    if not isinstance(report, dict):
+        raise MalformedReport(f"{path}: report must be a JSON object")
     for field in REQUIRED_REPORT_FIELDS:
         if field not in report:
             raise MalformedReport(f"{path}: report is missing required field {field!r}")
@@ -156,8 +158,12 @@ def complexity_report(reports: Sequence[dict], out_csv: str | Path, out_svg: str
         if "complexity" not in r:
             raise MalformedReport("report lacks a complexity field")
         model = str(r.get("model", "model"))
-        complexity = int(r["complexity"])
-        score = float(r["final_score"])
+        try:
+            complexity, score = int(r["complexity"]), float(r["final_score"])
+        except (TypeError, ValueError):
+            raise MalformedReport(
+                f"report complexity and final_score must be numbers, got {r['complexity']!r} and {r['final_score']!r}"
+            ) from None
         series.setdefault(model, []).append((complexity, score))
         rows.append({"metric": metric, "model": model, "complexity": complexity, "final_score": score})
     rows.sort(key=lambda row: (row["model"], row["complexity"]))

@@ -370,6 +370,8 @@ def read_corpus(path: str | Path) -> list[HybridPrompt]:
             try:
                 obj = json.loads(line)
                 keys = [(a["part"], a["subject"], a["domain"]) for a in obj["atoms"]]
+                if not MIN_ATOMS_PER_PROMPT <= len(keys) <= MAX_ATOMS_PER_PROMPT:
+                    raise ValueError(f"a record holds {MIN_ATOMS_PER_PROMPT}-{MAX_ATOMS_PER_PROMPT} atoms, got {len(keys)}")
                 for key in keys:
                     if key not in atoms:
                         atoms[key] = SemanticAtom(*key)

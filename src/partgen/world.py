@@ -236,7 +236,10 @@ def make_dataset(
     """One (condition set, composite target) pair per corpus record."""
     pairs = []
     for record in corpus:
-        cond = condition_set(record.atoms, world)
+        try:
+            cond = condition_set(record.atoms, world)
+        except UnknownAtom as exc:
+            raise UnknownAtom(f"record {record.id}: {exc}") from None
         pairs.append((cond, compose_target(cond, world)))
     return pairs
 

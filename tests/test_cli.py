@@ -15,7 +15,7 @@ from partgen.cli import (
 from partgen.nn import DenseNet, save_checkpoint
 from partgen.prior import input_dim
 from partgen.report import write_report
-from partgen.taxonomy import default_taxonomy_path
+from partgen.taxonomy import default_taxonomy_path, generate_corpus
 from partgen.world import DEFAULT_DIM
 
 
@@ -232,7 +232,8 @@ def _tiny_checkpoint(tmp_path):
 
 # (id, argv, exit code, text the one stderr line must hold). {tmp} is the
 # test's directory, {out} a path in it that must not exist afterwards, and
-# {ckpt}, {conf} and {manifest_*} are inputs the test writes there first.
+# {ckpt}, {conf}, {manifest_*}, {report*} and {corpus*} are inputs the test
+# writes there first.
 MALFORMED = [
     ("run-n-eval-0", ["pipeline", "run", "--out", "{out}", "--set", "n_eval=0"], 2, "n_eval"),
     ("run-n-eval-1", ["pipeline", "run", "--out", "{out}", "--set", "n_eval=1"], 2, "n_eval"),
@@ -263,26 +264,67 @@ MALFORMED = [
     ("eval-sample-steps-0", ["eval", "--ckpt", "{ckpt}", "--out-dir", "{out}", "--sample-steps", "0"], 2, "--sample-steps"),
     ("eval-n-eval-1", ["eval", "--ckpt", "{ckpt}", "--out-dir", "{out}", "--n-eval", "1"], 2, "--n-eval"),
     ("eval-dim-1", ["eval", "--ckpt", "{ckpt}", "--out-dir", "{out}", "--dim", "1"], 2, "--dim"),
+    # corpus records that only make_dataset used to refuse, without naming the file, line or record
+    ("prior-train-corpus-one-atom", ["prior", "train", "--corpus", "{corpus_one_atom}", "--out", "{out}", "--steps", "1"],
+     1, "corpus_one_atom.jsonl:2: bad corpus record: a record holds 2-4 atoms, got 1"),
+    ("prior-train-corpus-five-atoms", ["prior", "train", "--corpus", "{corpus_five_atoms}", "--out", "{out}", "--steps", "1"],
+     1, "corpus_five_atoms.jsonl:2: bad corpus record: a record holds 2-4 atoms, got 5"),
+    ("prior-train-corpus-unknown-atom", ["prior", "train", "--corpus", "{corpus_unknown_atom}", "--out", "{out}", "--steps", "1"],
+     1, "record 1: atom ("),
+    # outputs that cannot be written
+    ("corpus-gen-out-missing-dir", ["corpus", "gen", "--n", "5", "--out", "{tmp}/absent/x.jsonl"], 1, "absent/x.jsonl"),
+    ("prior-train-out-missing-dir", ["prior", "train", "--corpus", "{corpus}", "--out", "{tmp}/absent/ck.bin", "--steps", "1"],
+     1, "absent/ck.bin"),
+    ("prior-sample-out-missing-dir", ["prior", "sample", "--ckpt", "{ckpt}", "--atoms", "head:lion,body:horse", "--steps", "2",
+                                     "--out", "{tmp}/absent/s.json"], 1, "absent/s.json"),
+    ("eval-out-dir-is-file", ["eval", "--ckpt", "{ckpt}", "--out-dir", "{ckpt}", "--n-eval", "4", "--sample-steps", "2"], 1, "net.bin"),
+    ("report-out-csv-missing-dir", ["report", "{report}", "--out-csv", "{tmp}/absent/r.csv", "--out-svg", "{out}"], 1, "absent/r.csv"),
+    ("verify-artifact-is-dir", ["pipeline", "verify", "--manifest", "{manifest_artifact_dir}"], 1, "a_dir"),
+    # reports whose fields are not what they claim
+    ("report-complexity-text", ["report", "{report_complexity_text}", "--out-csv", "{out}", "--out-svg", "{out}"], 1, "'two'"),
+    ("report-score-text", ["report", "{report_score_text}", "--out-csv", "{out}", "--out-svg", "{out}"], 1, "'high'"),
+    ("report-not-object", ["report", "{report_string}", "--out-csv", "{out}", "--out-svg", "{out}"], 1, "JSON object"),
 ]
 
 
 class TestMalformedInput:
     @pytest.mark.parametrize("argv, code, text", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
-    def test_one_line_and_no_output(self, tmp_path, capsys, argv, code, text):
+    def test_one_line_and_no_output(self, tmp_path, capsys, taxonomy, argv, code, text):
         conf = tmp_path / "run.conf"
         conf.write_text("dim = 1\n", encoding="utf-8")
+        (tmp_path / "a_dir").mkdir()
         paths = {"tmp": str(tmp_path), "out": str(tmp_path / "out"), "ckpt": str(_tiny_checkpoint(tmp_path)), "conf": str(conf)}
         manifests = {
             "lacks_taxonomy": {"config": {k: v for k, v in PIPELINE_DEFAULTS.items() if k != "taxonomy"}},
             "steps_0": {"config": {**PIPELINE_DEFAULTS, "steps": 0}},
             "artifacts_list": {"artifacts": []},
             "config_list": {"config": [1]},
+            "artifact_dir": {"artifacts": {"samples": {"path": "a_dir", "sha256": "0" * 64}}},
         }
-        for name, fields in manifests.items():
-            manifest = tmp_path / f"{name}.json"
-            body = {"version": "0", "config": PIPELINE_DEFAULTS, "seeds": {}, "artifacts": {}, **fields}
-            manifest.write_text(json.dumps(body), encoding="utf-8")
-            paths[f"manifest_{name}"] = str(manifest)
+        report = {"metric": "parteval", "model": "prior", "complexity": 2, "per_sample": [], "final_score": 0.5}
+        json_inputs = {
+            **{f"manifest_{name}": {"version": "0", "config": PIPELINE_DEFAULTS, "seeds": {}, "artifacts": {}, **fields}
+               for name, fields in manifests.items()},
+            "report": report,
+            "report_complexity_text": {**report, "complexity": "two"},
+            "report_score_text": {**report, "final_score": "high"},
+            "report_string": "metric per_sample final_score",
+        }
+        for name, body in json_inputs.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(json.dumps(body), encoding="utf-8")
+        records = [r.to_dict() for r in generate_corpus(taxonomy, 3, master_seed=0)]
+        atoms = [a for r in records for a in r["atoms"]]
+        ghost = {**records[1]["atoms"][0], "subject": "unicorn"}
+        corpora = {
+            "corpus": records,
+            "corpus_one_atom": [records[0], {**records[1], "atoms": atoms[:1]}],
+            "corpus_five_atoms": [records[0], {**records[1], "atoms": atoms[:5]}],
+            "corpus_unknown_atom": [records[0], {**records[1], "atoms": [ghost, *records[1]["atoms"][1:]]}],
+        }
+        for name, lines in corpora.items():
+            paths[name] = str(tmp_path / f"{name}.jsonl")
+            (tmp_path / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
         before = sorted(tmp_path.rglob("*"))
         assert main([arg.format(**paths) for arg in argv]) == code
         err = capsys.readouterr().err.strip().splitlines()

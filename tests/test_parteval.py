@@ -1,4 +1,4 @@
-"""Part faithfulness metric: extraction, questions, graders, scoring."""
+"""Part faithfulness metric: questions, graders, scoring."""
 
 from typing import Sequence
 
@@ -9,8 +9,6 @@ from partgen.parteval import (
     EvalQuestion,
     GradeRecord,
     OracleGrader,
-    PartFeature,
-    parteval_extract,
     parteval_grade,
     parteval_grade_many,
     parteval_questions,
@@ -38,42 +36,28 @@ class StubGrader:
 
 
 class TestExtractAndQuestions:
-    def test_extract_uses_atom_and_metadata(self):
-        feature = parteval_extract(_atom(), metadata={"color": "golden"})
-        assert feature.object == "lion" and feature.part == "tail"
-        assert feature.color == "golden"
-        assert feature.texture == "unspecified"
-
-    def test_feature_requires_object_and_part(self):
-        with pytest.raises(ValidationError):
-            PartFeature(object="unspecified", part="tail")
-        with pytest.raises(ValidationError):
-            PartFeature(object="lion", part="")
-
     def test_question_order_and_templates(self):
-        feature = parteval_extract(_atom(), metadata={"texture": "scaly", "color": "green"})
-        questions = parteval_questions(feature)
-        assert [q.attribute for q in questions] == ["object", "part", "color", "texture"]
+        questions = parteval_questions(_atom())
+        assert [q.attribute for q in questions] == ["object", "part"]
+        assert [q.expected for q in questions] == ["lion", "tail"]
         assert questions[0].text == "Is the tail recognizably that of a lion?"
         assert questions[1].text == "Does the output show a distinct tail?"
-        assert questions[2].text == "Is the tail green in color?"
-        assert questions[3].text == "Does the tail have a scaly texture?"
 
-    def test_unspecified_attributes_ask_nothing(self):
-        questions = parteval_questions(parteval_extract(_atom()))
-        assert [q.attribute for q in questions] == ["object", "part"]
+    def test_unknown_attribute_rejected(self):
+        with pytest.raises(ValidationError, match="attribute"):
+            EvalQuestion(text="Is the tail red in color?", attribute="color", expected="red")
 
 
 class TestGradeArithmetic:
     def test_grade_counts_verdicts(self):
-        questions = parteval_questions(parteval_extract(_atom()))
+        questions = parteval_questions(_atom())
         record = parteval_grade(StubGrader([1, 0]), {"any": "ref"}, questions)
         assert record.verdicts == [1, 0]
         assert record.partial_score == 1 and record.max_score == 2
         assert record.normalized == 0.5
 
     def test_out_of_range_verdict_is_malformed(self):
-        questions = parteval_questions(parteval_extract(_atom()))
+        questions = parteval_questions(_atom())
         with pytest.raises(MalformedVerdict):
             parteval_grade(StubGrader([1, 2]), {"any": "ref"}, questions)
 
@@ -109,7 +93,7 @@ class TestOracleGrader:
             cond = condition_set(record.atoms, world)
             target = compose_target(cond, world)
             for slot, atom in enumerate(cond.atoms):
-                questions = parteval_questions(parteval_extract(atom))
+                questions = parteval_questions(atom)
                 ref = {"embedding": target, "k": cond.k, "slot": slot}
                 grade = parteval_grade(grader, ref, questions)
                 assert grade.normalized == 1.0
@@ -120,24 +104,10 @@ class TestOracleGrader:
         target = compose_target(cond, world)
         grader = OracleGrader(taxonomy, world)
         atom = cond.atoms[0]
-        wrong = parteval_questions(
-            PartFeature(object="definitelywrongsubject", part=atom.part)
-        )
+        wrong = parteval_questions(SemanticAtom(part=atom.part, subject="definitelywrongsubject", domain=atom.domain))
         grade = parteval_grade(grader, {"embedding": target, "k": cond.k, "slot": 0}, wrong)
         assert grade.verdicts[0] == 0  # object question
         assert grade.verdicts[1] == 1  # part question still matches
-
-    def test_metadata_attributes_compared_literally(self, taxonomy, world):
-        record = next(iter(generate_corpus(taxonomy, 1, master_seed=57)))
-        cond = condition_set(record.atoms, world)
-        target = compose_target(cond, world)
-        grader = OracleGrader(taxonomy, world)
-        atom = cond.atoms[0]
-        questions = parteval_questions(parteval_extract(atom, metadata={"color": "red"}))
-        ref_match = {"embedding": target, "k": cond.k, "slot": 0, "metadata": {"color": "red"}}
-        ref_miss = {"embedding": target, "k": cond.k, "slot": 0, "metadata": {"color": "blue"}}
-        assert parteval_grade(grader, ref_match, questions).normalized == 1.0
-        assert parteval_grade(grader, ref_miss, questions).verdicts[-1] == 0
 
     def test_decode_cache_reused(self, taxonomy, world):
         record = next(iter(generate_corpus(taxonomy, 1, master_seed=58)))
@@ -145,7 +115,7 @@ class TestOracleGrader:
         target = compose_target(cond, world)
         grader = OracleGrader(taxonomy, world)
         ref = {"embedding": target, "k": cond.k, "slot": 0}
-        question = parteval_questions(parteval_extract(cond.atoms[0]))[0]
+        question = parteval_questions(cond.atoms[0])[0]
         grader.verdict(ref, question)
         grader.verdict(ref, question)
         assert len(grader._decode_cache) == 1
@@ -154,7 +124,7 @@ class TestOracleGrader:
 class TestGradeMany:
     def test_sequential_path_matches_loop(self):
         stub = StubGrader([1, 0, 1])
-        questions = parteval_questions(PartFeature(object="lion", part="tail"))
+        questions = parteval_questions(_atom())
         jobs = [({"i": i}, questions) for i in range(3)]
         records = parteval_grade_many(stub, jobs)
         assert [r.verdicts for r in records] == [[1, 0], [1, 1], [0, 1]]

@@ -283,11 +283,19 @@ class TestSamplers:
         assert np.allclose(full[:2], head)
 
     def test_cfg_scale_one_matches_plain_conditional(self, world, small_batch):
-        net = DenseNet.init([input_dim(world.d), 32, world.d], seed=14)
+        # cfg_scale == 1 must never build the unconditional (all-zero-mask) branch.
         conds = [c for c, _ in small_batch[:3]]
-        plain = sample_flow_batch(net, conds, world.d, n_steps=6, seed=6, cfg_scale=1.0)
-        again = sample_flow_batch(net, conds, world.d, n_steps=6, seed=6)
-        assert np.array_equal(plain, again)
+        for sampler in (sample_flow_batch, sample_diffusion_batch):
+            for cfg_scale, unconditional_calls in ((1.0, 0), (2.0, 6)):
+                masks_seen = []
+
+                def spy(x, tau, blocks, masks):
+                    masks_seen.append(masks.copy())
+                    return x
+
+                sampler(spy, conds, world.d, n_steps=6, seed=6, cfg_scale=cfg_scale)
+                assert sum(not m.any() for m in masks_seen) == unconditional_calls, (sampler.__name__, cfg_scale)
+                assert sum(m.any() for m in masks_seen) == 6
 
     def test_cfg_scale_changes_output(self, world, small_batch):
         net = DenseNet.init([input_dim(world.d), 32, world.d], seed=15)

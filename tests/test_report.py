@@ -50,6 +50,14 @@ class TestReportIO:
         with pytest.raises(MalformedReport):
             load_report(path)
 
+    @pytest.mark.parametrize("body", ['"metric per_sample final_score"', '["metric", "per_sample", "final_score"]'],
+                             ids=["string", "list"])
+    def test_non_object_json_rejected(self, tmp_path, body):
+        path = tmp_path / "report.json"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(MalformedReport, match="JSON object"):
+            load_report(path)
+
     def test_output_is_stable(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         write_report(p1, _report())
@@ -111,6 +119,14 @@ class TestComplexityReport:
         del report["complexity"]
         with pytest.raises(MalformedReport):
             complexity_report([report], tmp_path / "x.csv", tmp_path / "x.svg")
+
+    @pytest.mark.parametrize("field, value", [("complexity", "two"), ("final_score", "high"), ("complexity", None)])
+    def test_non_numeric_field_rejected(self, tmp_path, field, value):
+        report = _report()
+        report[field] = value
+        with pytest.raises(MalformedReport, match="must be numbers"):
+            complexity_report([report], tmp_path / "x.csv", tmp_path / "x.svg")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_no_reports_rejected(self, tmp_path):
         with pytest.raises(MalformedReport):

@@ -298,6 +298,16 @@ class TestCorpus:
         with pytest.raises(ParseError, match=r"corpus\.jsonl:2: bad corpus record: "):
             read_corpus(path)
 
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_read_corpus_refuses_an_atom_count_outside_2_to_4(self, taxonomy, tmp_path, count):
+        records = [r.to_dict() for r in generate_corpus(taxonomy, 3, master_seed=0)]
+        atoms = [a for r in records for a in r["atoms"]]
+        records[1]["atoms"] = atoms[:count]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"corpus\.jsonl:2: bad corpus record: a record holds 2-4 atoms, got {count}"):
+            read_corpus(path)
+
     def test_read_corpus_builds_each_atom_once(self, taxonomy, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_corpus(generate_corpus(taxonomy, 200, master_seed=1), path)

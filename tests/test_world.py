@@ -145,6 +145,13 @@ class TestDataset:
             assert [a.key for a in cond.atoms] == [a.key for a in record.atoms]
             assert np.allclose(target, compose_target(cond, world))
 
+    def test_make_dataset_names_the_record_of_an_unknown_atom(self, taxonomy, world):
+        records = list(generate_corpus(taxonomy, 3, master_seed=4))
+        ghost = SemanticAtom(part=records[1].atoms[0].part, subject="unicorn", domain=records[1].atoms[0].domain)
+        records[1].atoms[0] = ghost
+        with pytest.raises(UnknownAtom, match=rf"^record {records[1].id}: atom \({ghost.part}, unicorn\)"):
+            make_dataset(records, taxonomy, world)
+
     def test_save_load_round_trip(self, taxonomy, world, tmp_path):
         pairs = make_dataset(list(generate_corpus(taxonomy, 25, master_seed=5)), taxonomy, world)
         path = tmp_path / "dataset.bin"
