@@ -43,6 +43,11 @@ class TestExtractAndQuestions:
         assert questions[0].text == "Is the tail recognizably that of a lion?"
         assert questions[1].text == "Does the output show a distinct tail?"
 
+    def test_unspecified_attributes_ask_nothing(self):
+        for atom in (_atom(), _atom(part="wing", subject="eagle")):
+            questions = parteval_questions(atom)
+            assert [q.attribute for q in questions] == ["object", "part"]
+
     def test_unknown_attribute_rejected(self):
         with pytest.raises(ValidationError, match="attribute"):
             EvalQuestion(text="Is the tail red in color?", attribute="color", expected="red")
