@@ -172,17 +172,13 @@ def _regression_loss(
     return loss, backward(net, tape, dy.astype(dtype))
 
 
-def _objective_loss(objective, net, batch, sched, rng, cond_dropout, draws, want_grads, predictor, dtype):
-    """The loss_* functions' shared body: batch arrays, draws, regression."""
+def _objective_loss(objective, net, batch, sched, draws, want_grads, predictor, dtype):
+    """The loss_* functions' shared body: batch arrays, pairs, regression."""
     if not batch:
         raise ValueError("batch must be non-empty")
     targets = np.stack([target for _, target in batch])
     blocks, masks = condition_features([cond for cond, _ in batch], targets.shape[1])
-    make_draws, pairs = _OBJECTIVES[objective]
-    if draws is None:
-        if rng is None:
-            raise ValueError("either rng or draws is required")
-        draws = make_draws(rng, len(batch), targets.shape[1], sched, cond_dropout)
+    _, pairs = _OBJECTIVES[objective]
     inputs, reg_targets = pairs(targets, blocks, masks, draws, sched)
     return _regression_loss(net, inputs, reg_targets, want_grads, predictor, dtype)
 
@@ -190,36 +186,31 @@ def _objective_loss(objective, net, batch, sched, rng, cond_dropout, draws, want
 def loss_rectified_flow(
     net: DenseNet,
     batch: Sequence[tuple[ConditionSet, np.ndarray]],
-    rng: np.random.Generator | None = None,
-    cond_dropout: float = 0.0,
-    draws: FlowDraws | None = None,
+    draws: FlowDraws,
     want_grads: bool = True,
     predictor: Callable[[np.ndarray], np.ndarray] | None = None,
     dtype: type = np.float32,
 ) -> tuple[float, Gradients | None]:
     """Mean squared error against the straight-path velocity target e - x0.
 
-    Draws (t, x0, dropout coins) come from ``rng`` unless an explicit
-    ``draws`` bundle pins them, which is how tests and gradient checks keep
-    the loss deterministic. ``predictor`` replaces the network for oracle
-    evaluations and disables gradients.
+    ``draws`` (t, x0, dropout coins) pin the loss, which is how tests and
+    gradient checks keep it deterministic. ``predictor`` replaces the network
+    for oracle evaluations and disables gradients.
     """
-    return _objective_loss("rectified_flow", net, batch, None, rng, cond_dropout, draws, want_grads, predictor, dtype)
+    return _objective_loss("rectified_flow", net, batch, None, draws, want_grads, predictor, dtype)
 
 
 def loss_diffusion_prior(
     net: DenseNet,
     batch: Sequence[tuple[ConditionSet, np.ndarray]],
     sched: NoiseSchedule,
-    rng: np.random.Generator | None = None,
-    cond_dropout: float = 0.0,
-    draws: DiffusionDraws | None = None,
+    draws: DiffusionDraws,
     want_grads: bool = True,
     predictor: Callable[[np.ndarray], np.ndarray] | None = None,
     dtype: type = np.float32,
 ) -> tuple[float, Gradients | None]:
     """Mean squared error of the clean-composite prediction from e_t."""
-    return _objective_loss("diffusion_prior", net, batch, sched, rng, cond_dropout, draws, want_grads, predictor, dtype)
+    return _objective_loss("diffusion_prior", net, batch, sched, draws, want_grads, predictor, dtype)
 
 
 @dataclasses.dataclass

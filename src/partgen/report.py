@@ -4,7 +4,9 @@ hand-rolled SVG charts (no plotting dependency, byte-stable output)."""
 from __future__ import annotations
 
 import csv
+import io
 import json
+import sys
 from pathlib import Path
 from typing import Sequence
 
@@ -143,11 +145,16 @@ def complexity_report(reports: Sequence[dict], out_csv: str | Path, out_svg: str
     """Flatten per-complexity reports into a CSV and a score-vs-complexity
     line chart, one line per model label.
 
-    Every report needs the same metric name, a complexity, and a model
-    label; conflicts raise MalformedReport.
+    Every report needs the same metric name (a string), an integer
+    complexity, a finite final_score and a model label; anything else raises
+    MalformedReport. Both texts are rendered before either file is written,
+    and a failed write leaves neither file behind.
     """
     if not reports:
         raise MalformedReport("need at least one report")
+    for r in reports:
+        if not isinstance(r["metric"], str):
+            raise MalformedReport(f"report metric must be a string, got {r['metric']!r}")
     metric_names = {r["metric"] for r in reports}
     if len(metric_names) != 1:
         raise MalformedReport(f"conflicting metric names across reports: {sorted(metric_names)}")
@@ -158,18 +165,27 @@ def complexity_report(reports: Sequence[dict], out_csv: str | Path, out_svg: str
         if "complexity" not in r:
             raise MalformedReport("report lacks a complexity field")
         model = str(r.get("model", "model"))
-        try:
-            complexity, score = int(r["complexity"]), float(r["final_score"])
-        except (TypeError, ValueError):
+        complexity, score = r["complexity"], r["final_score"]
+        # bools are ints to Python; the comparison is exact for ints and false for NaN
+        if type(complexity) is not int or type(score) not in (int, float) or not abs(score) <= sys.float_info.max:
             raise MalformedReport(
-                f"report complexity and final_score must be numbers, got {r['complexity']!r} and {r['final_score']!r}"
-            ) from None
-        series.setdefault(model, []).append((complexity, score))
-        rows.append({"metric": metric, "model": model, "complexity": complexity, "final_score": score})
+                f"report complexity and final_score must be numbers (an integer, a finite number), got {complexity!r} and {score!r}"
+            )
+        series.setdefault(model, []).append((complexity, float(score)))
+        rows.append({"metric": metric, "model": model, "complexity": complexity, "final_score": float(score)})
     rows.sort(key=lambda row: (row["model"], row["complexity"]))
-    with open(out_csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["metric", "model", "complexity", "final_score"])
-        writer.writeheader()
-        writer.writerows(rows)
+    table = io.StringIO()
+    writer = csv.DictWriter(table, fieldnames=["metric", "model", "complexity", "final_score"])
+    writer.writeheader()
+    writer.writerows(rows)
     chart = svg_line_chart(series, title=f"{metric} by part count", x_label="parts per prompt", y_label=metric)
-    Path(out_svg).write_text(chart, encoding="utf-8")
+    written: list[Path] = []
+    try:
+        for path, text in ((Path(out_csv), table.getvalue()), (Path(out_svg), chart)):
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                written.append(path)
+                fh.write(text)
+    except OSError:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise

@@ -208,80 +208,47 @@ def enumerate_atoms(taxonomy: Taxonomy) -> list[SemanticAtom]:
     return atoms
 
 
-class AtomPool:
-    """Atoms to draw from, in a fixed order, indexed by the runs each part covers.
-
-    ``runs[part]`` lists the (start, stop) position ranges of that part's
-    atoms. Excluding a part removes its runs, so the i-th eligible atom is
-    found by stepping over the removed runs instead of rebuilding a list.
-    """
-
-    def __init__(self, atoms: Sequence[SemanticAtom]) -> None:
-        self.atoms = tuple(atoms)
-        runs: dict[str, list[tuple[int, int]]] = {}
-        for i, atom in enumerate(self.atoms):
-            part_runs = runs.setdefault(atom.part, [])
-            if part_runs and part_runs[-1][1] == i:
-                part_runs[-1] = (part_runs[-1][0], i + 1)
-            else:
-                part_runs.append((i, i + 1))
-        self.runs = runs
-
-    def draw(self, rng: np.random.Generator, k: int) -> list[SemanticAtom]:
-        """Draw k distinct-part atoms, one ``rng.integers(n_eligible)`` each.
-
-        The eligible atoms keep pool order, so each draw picks the same atom
-        as indexing a freshly filtered list of the not-yet-used parts would.
-        """
-        if len(self.runs) < k:
-            raise InsufficientAtoms(f"need {k} distinct parts, pool has {len(self.runs)}")
-        chosen: list[SemanticAtom] = []
-        removed: list[tuple[int, int]] = []
-        n_eligible = len(self.atoms)
-        for _ in range(k):
-            i = int(rng.integers(n_eligible))
-            for start, stop in removed:
-                if i < start:
-                    break
-                i += stop - start
-            pick = self.atoms[i]
-            chosen.append(pick)
-            part_runs = self.runs[pick.part]
-            removed = sorted(removed + part_runs)
-            n_eligible -= sum(stop - start for start, stop in part_runs)
-        return chosen
-
-
 class AtomPools:
-    """The draw pools of one taxonomy: every atom in file order, and each domain's.
+    """The draw pools of one taxonomy: every atom in file order, then each domain's.
 
-    Built from the taxonomy's contents at construction; a taxonomy edited
-    afterwards needs new pools.
+    A pool is its atoms in order, a boolean matrix that is true where two
+    of them differ in part, and the positions 0..n-1. Built from the
+    taxonomy's contents at construction; a taxonomy edited afterwards needs
+    new pools.
     """
 
     def __init__(self, taxonomy: Taxonomy) -> None:
         atoms = enumerate_atoms(taxonomy)
-        self.mixed = AtomPool(atoms)
-        self.domains: list[AtomPool] = []
+        codes: dict[str, int] = {}
+        part_ids = np.array([codes.setdefault(a.part, len(codes)) for a in atoms])
+        other_part = part_ids[:, None] != part_ids
+        self.pools = [(atoms, other_part, np.arange(len(atoms)))]
         start = 0
         for entry in taxonomy.domains:
             stop = start + sum(len(p.subjects) for p in entry.parts)
-            self.domains.append(AtomPool(atoms[start:stop]))
+            self.pools.append((atoms[start:stop], other_part[start:stop, start:stop], np.arange(stop - start)))
             start = stop
 
     def sample(self, rng: np.random.Generator, k: int, mix_domains: bool) -> list[SemanticAtom]:
         """Draw k distinct-part atoms, from one uniform domain unless mixing.
 
-        Each draw is uniform over the pool's atoms of the not-yet-used
-        parts, so parts with more subjects are proportionally more likely.
+        Each draw is one ``rng.integers(n_eligible)`` into the pool's atoms
+        of the not-yet-used parts, in pool order, so parts with more
+        subjects are proportionally more likely.
         """
         if not (MIN_ATOMS_PER_PROMPT <= k <= MAX_ATOMS_PER_PROMPT):
             raise ValueError(f"k must be in [{MIN_ATOMS_PER_PROMPT}, {MAX_ATOMS_PER_PROMPT}], got {k}")
-        if mix_domains:
-            pool = self.mixed
-        else:
-            pool = self.domains[int(rng.integers(len(self.domains)))]
-        return pool.draw(rng, k)
+        pool = 0 if mix_domains else 1 + int(rng.integers(len(self.pools) - 1))
+        atoms, other_part, eligible = self.pools[pool]
+        chosen: list[SemanticAtom] = []
+        while True:
+            if eligible.size == 0:
+                raise InsufficientAtoms(f"need {k} distinct parts, pool has {len(chosen)}")
+            i = eligible[rng.integers(eligible.size)]
+            chosen.append(atoms[i])
+            if len(chosen) == k:
+                return chosen
+            eligible = eligible[other_part[i][eligible]]
 
 
 def render_prompt(prefix: str, atoms: Sequence[SemanticAtom]) -> str:

@@ -224,6 +224,26 @@ class TestReportCommand:
         assert "metric" in capsys.readouterr().err
 
 
+class TestRerunDivergence:
+    @pytest.mark.parametrize("edit, problem", [
+        ("digest", "checkpoint: digest mismatch"),
+        ("extra-artifact", "ghost: present in only one run"),
+    ])
+    def test_rerun_names_what_diverged(self, tmp_path, capsys, edit, problem):
+        run = tmp_path / "run"
+        assert main(["pipeline", "run", "--out", str(run), "--set", "n_train=50", "--set", "steps=5", "--set", "n_eval=4"]) == 0
+        manifest_path = run / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        if edit == "digest":
+            manifest["artifacts"]["checkpoint"]["sha256"] = "0" * 64
+        else:
+            manifest["artifacts"]["ghost"] = {"path": "ghost.bin", "sha256": "0" * 64}
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["pipeline", "rerun", "--manifest", str(manifest_path), "--out", str(tmp_path / "rerun")]) == 1
+        assert capsys.readouterr().err.splitlines() == ["rerun diverged from the manifest:", f"  {problem}"]
+
+
 def _tiny_checkpoint(tmp_path):
     ckpt = tmp_path / "net.bin"
     save_checkpoint(DenseNet.init([input_dim(DEFAULT_DIM), 8, DEFAULT_DIM], seed=0), ckpt)
@@ -284,6 +304,14 @@ MALFORMED = [
     ("report-complexity-text", ["report", "{report_complexity_text}", "--out-csv", "{out}", "--out-svg", "{out}"], 1, "'two'"),
     ("report-score-text", ["report", "{report_score_text}", "--out-csv", "{out}", "--out-svg", "{out}"], 1, "'high'"),
     ("report-not-object", ["report", "{report_string}", "--out-csv", "{out}", "--out-svg", "{out}"], 1, "JSON object"),
+    ("report-metric-list", ["report", "{report_metric_list}", "--out-csv", "{out}", "--out-svg", "{out}"], 1,
+     "metric must be a string"),
+    ("report-complexity-fraction", ["report", "{report_complexity_fraction}", "--out-csv", "{out}", "--out-svg", "{out}"], 1, "2.5"),
+    ("report-complexity-bool", ["report", "{report_complexity_bool}", "--out-csv", "{out}", "--out-svg", "{out}"], 1, "True"),
+    ("report-score-nan", ["report", "{report_score_nan}", "--out-csv", "{out}", "--out-svg", "{out}"], 1, "nan"),
+    ("report-score-bool", ["report", "{report_score_bool}", "--out-csv", "{out}", "--out-svg", "{out}"], 1, "True"),
+    ("report-out-svg-missing-dir", ["report", "{report}", "--out-csv", "{tmp}/r.csv", "--out-svg", "{tmp}/absent/r.svg"], 1,
+     "absent/r.svg"),
 ]
 
 
@@ -309,6 +337,11 @@ class TestMalformedInput:
             "report_complexity_text": {**report, "complexity": "two"},
             "report_score_text": {**report, "final_score": "high"},
             "report_string": "metric per_sample final_score",
+            "report_metric_list": {**report, "metric": ["parteval"]},
+            "report_complexity_fraction": {**report, "complexity": 2.5},
+            "report_complexity_bool": {**report, "complexity": True},
+            "report_score_nan": {**report, "final_score": float("nan")},
+            "report_score_bool": {**report, "final_score": True},
         }
         for name, body in json_inputs.items():
             paths[name] = str(tmp_path / f"{name}.json")

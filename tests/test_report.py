@@ -128,6 +128,20 @@ class TestComplexityReport:
             complexity_report([report], tmp_path / "x.csv", tmp_path / "x.svg")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("metric", ["parteval"]), ("complexity", 2.5), ("complexity", True), ("final_score", float("nan")),
+         ("final_score", float("inf")), ("final_score", True), ("final_score", 10**400)],
+        ids=["metric-list", "complexity-fraction", "complexity-bool", "final_score-nan", "final_score-inf",
+             "final_score-bool", "final_score-huge-int"],
+    )
+    def test_wrong_field_type_rejected(self, tmp_path, field, value):
+        report = _report()
+        report[field] = value
+        with pytest.raises(MalformedReport, match=field):
+            complexity_report([report], tmp_path / "x.csv", tmp_path / "x.svg")
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_reports_rejected(self, tmp_path):
         with pytest.raises(MalformedReport):
             complexity_report([], tmp_path / "x.csv", tmp_path / "x.svg")

@@ -11,7 +11,6 @@ from partgen.errors import InsufficientAtoms, ParseError, ValidationError
 from partgen.hashing import fnv1a_64
 from partgen.taxonomy import (
     DOMAIN_NAMES,
-    AtomPool,
     AtomPools,
     RenderConfig,
     SemanticAtom,
@@ -173,28 +172,43 @@ class TestSampling:
         with pytest.raises(ValueError):
             AtomPools(taxonomy).sample(np.random.default_rng(0), 5, mix_domains=True)
 
-    def test_pool_draw_matches_filtered_list(self):
-        # "tail" appears in two domains, so its atoms are split into two runs of the mixed pool
+    def test_pool_draw_matches_filtered_list(self, taxonomy):
+        # "tail" appears in two domains, so the mixed pool holds its atoms in two separate stretches
         text = (
             "domain creature\nprefix A creature\n"
             "part tail: lion, fox, cat\npart head: owl, elk\npart wings: bat, moth, crow, hawk\n"
             "domain vehicle\nprefix A vehicle\n"
             "part wheels: bus, van\npart tail: jet, kite, glider\n"
         )
-        atoms = enumerate_atoms(parse_taxonomy(text))
-        pool = AtomPool(atoms)
-        assert pool.runs["tail"] == [(0, 3), (11, 14)]
-        for seed in range(300):
-            k = 2 + seed % 3
-            rng = np.random.default_rng(seed)
-            reference_rng = np.random.default_rng(seed)
-            expected, used = [], set()
-            for _ in range(k):
-                eligible = [a for a in atoms if a.part not in used]
-                pick = eligible[int(reference_rng.integers(len(eligible)))]
-                expected.append(pick)
-                used.add(pick.part)
-            assert pool.draw(rng, k) == expected
+        for source in (parse_taxonomy(text), taxonomy):
+            pools = AtomPools(source)
+            for seed in range(300):
+                k, mix = 2 + seed % 3, seed % 2 == 0
+                expected = _filtered_list_draw(source, np.random.default_rng(seed), k, mix)
+                if expected is None:
+                    with pytest.raises(InsufficientAtoms):
+                        pools.sample(np.random.default_rng(seed), k, mix_domains=mix)
+                else:
+                    assert pools.sample(np.random.default_rng(seed), k, mix_domains=mix) == expected
+
+
+def _filtered_list_draw(taxonomy, rng, k, mix_domains):
+    """The draw contract spelled out: the domain index unless mixing, then one
+    index per atom into a freshly filtered list of the not-yet-used parts;
+    None when the pool runs out of parts."""
+    atoms = enumerate_atoms(taxonomy)
+    if not mix_domains:
+        domain = taxonomy.domains[int(rng.integers(len(taxonomy.domains)))].name
+        atoms = [a for a in atoms if a.domain == domain]
+    chosen, used = [], set()
+    for _ in range(k):
+        eligible = [a for a in atoms if a.part not in used]
+        if not eligible:
+            return None
+        pick = eligible[int(rng.integers(len(eligible)))]
+        chosen.append(pick)
+        used.add(pick.part)
+    return chosen
 
 
 class TestCorpus:
