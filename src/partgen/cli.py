@@ -498,6 +498,8 @@ def cmd_pipeline_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if Path(args.out_csv).resolve() == Path(args.out_svg).resolve():
+        raise UsageError(f"--out-csv and --out-svg name the same file: {args.out_svg}")
     reports = [load_report(p) for p in args.reports]
     complexity_report(reports, args.out_csv, args.out_svg)
     print(f"wrote {args.out_csv} and {args.out_svg}")

@@ -4,10 +4,11 @@ synthetic embedding world, plus the samplers that invert them.
 The network always sees one flat input vector: the state, a 16-dim
 sinusoidal encoding of time, four zero-padded condition slots, and a 4-bit
 slot mask (dimension 5d + 20). The denoising objective predicts the clean
-composite from its noised version; the flow objective predicts the straight
-path velocity target - x0. Condition dropout zeroes both the slots and the
-mask of an item, which trains the unconditional branch used by
-classifier-free guidance.
+composite from its noised version (fixed linear schedule, ALPHA_BARS); the
+flow objective predicts the straight path velocity target - x0. train and
+objective_loss reach both through one table of draws and regression pairs.
+Condition dropout zeroes both the slots and the mask of an item, which
+trains the unconditional branch used by classifier-free guidance.
 """
 
 from __future__ import annotations
@@ -37,20 +38,10 @@ def default_layer_dims(d: int) -> list[int]:
     return [input_dim(d)] + DEFAULT_HIDDEN_DIMS + [d]
 
 
-class NoiseSchedule:
-    """Linear beta schedule from 1e-4 to 0.02 over T = 1000 steps.
-    alpha_bar(0) is defined as 1; alpha_bar(1) is alpha_1, and the product
-    decays strictly from there."""
-
-    T = 1000
-
-    def __init__(self) -> None:
-        self.alpha_bars = np.cumprod(1.0 - np.linspace(1e-4, 0.02, self.T))
-
-    def alpha_bar(self, t: int | np.ndarray) -> float | np.ndarray:
-        t = np.asarray(t)
-        out = np.where(t >= 1, self.alpha_bars[np.maximum(t, 1) - 1], 1.0)
-        return float(out) if out.ndim == 0 else out
+# Linear beta schedule from 1e-4 to 0.02 over T = 1000 steps. ALPHA_BARS[t] is
+# alpha_bar(t) for t in 0..T: 1 at t = 0, then alpha_1, decaying strictly.
+DIFFUSION_STEPS = 1000
+ALPHA_BARS = np.concatenate([[1.0], np.cumprod(1.0 - np.linspace(1e-4, 0.02, DIFFUSION_STEPS))])
 
 
 def time_encoding(tau: np.ndarray) -> np.ndarray:
@@ -75,10 +66,10 @@ def build_inputs(states: np.ndarray, taus: np.ndarray, blocks: np.ndarray, masks
     return np.concatenate([states, time_encoding(taus), blocks, masks], axis=1)
 
 
-def q_sample(e: np.ndarray, t: int | np.ndarray, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
+def q_sample(e: np.ndarray, t: int | np.ndarray, eps: np.ndarray) -> np.ndarray:
     """Forward noising: sqrt(abar_t) e + sqrt(1 - abar_t) eps."""
-    ab = np.asarray(sched.alpha_bar(t))
-    if ab.ndim == 1:
+    ab = ALPHA_BARS[t]
+    if np.ndim(ab) == 1:
         ab = ab[:, None]
     return np.sqrt(ab) * e + np.sqrt(1.0 - ab) * eps
 
@@ -105,11 +96,9 @@ def make_flow_draws(rng: np.random.Generator, batch_size: int, d: int, cond_drop
     )
 
 
-def make_diffusion_draws(
-    rng: np.random.Generator, batch_size: int, d: int, sched: NoiseSchedule, cond_dropout: float
-) -> DiffusionDraws:
+def make_diffusion_draws(rng: np.random.Generator, batch_size: int, d: int, cond_dropout: float) -> DiffusionDraws:
     return DiffusionDraws(
-        t=rng.integers(1, sched.T + 1, size=batch_size),
+        t=rng.integers(1, DIFFUSION_STEPS + 1, size=batch_size),
         eps=rng.standard_normal((batch_size, d)),
         drop=rng.random(batch_size) < cond_dropout,
     )
@@ -123,25 +112,24 @@ def _apply_dropout(blocks: np.ndarray, masks: np.ndarray, drop: np.ndarray) -> t
     return blocks, masks
 
 
-def _flow_pairs(targets, blocks, masks, draws: FlowDraws, sched) -> tuple[np.ndarray, np.ndarray]:
+def _flow_pairs(targets, blocks, masks, draws: FlowDraws) -> tuple[np.ndarray, np.ndarray]:
     """Inputs at x_t = (1 - t) x0 + t e and the straight-path velocity e - x0."""
     blocks, masks = _apply_dropout(blocks, masks, draws.drop)
     x_t = (1.0 - draws.t)[:, None] * draws.x0 + draws.t[:, None] * targets
     return build_inputs(x_t, FLOW_TIME_SCALE * draws.t, blocks, masks), targets - draws.x0
 
 
-def _diffusion_pairs(targets, blocks, masks, draws: DiffusionDraws, sched: NoiseSchedule) -> tuple[np.ndarray, np.ndarray]:
+def _diffusion_pairs(targets, blocks, masks, draws: DiffusionDraws) -> tuple[np.ndarray, np.ndarray]:
     """Inputs at the noised e_t and the clean composite e itself."""
     blocks, masks = _apply_dropout(blocks, masks, draws.drop)
-    e_t = q_sample(targets, draws.t, draws.eps, sched)
+    e_t = q_sample(targets, draws.t, draws.eps)
     return build_inputs(e_t, draws.t.astype(np.float64), blocks, masks), targets
 
 
-# objective name -> (draw maker (rng, batch size, d, sched, cond_dropout),
-# (targets, blocks, masks, draws, sched) -> (network inputs, regression
-# targets)); the flow entries ignore sched
+# objective name -> (draw maker (rng, batch size, d, cond_dropout),
+# (targets, blocks, masks, draws) -> (network inputs, regression targets))
 _OBJECTIVES = {
-    "rectified_flow": (lambda rng, n, d, sched, p: make_flow_draws(rng, n, d, p), _flow_pairs),
+    "rectified_flow": (make_flow_draws, _flow_pairs),
     "diffusion_prior": (make_diffusion_draws, _diffusion_pairs),
 }
 OBJECTIVES = tuple(_OBJECTIVES)
@@ -172,45 +160,28 @@ def _regression_loss(
     return loss, backward(net, tape, dy.astype(dtype))
 
 
-def _objective_loss(objective, net, batch, sched, draws, want_grads, predictor, dtype):
-    """The loss_* functions' shared body: batch arrays, pairs, regression."""
+def objective_loss(
+    objective: str,
+    net: DenseNet,
+    batch: Sequence[tuple[ConditionSet, np.ndarray]],
+    draws: FlowDraws | DiffusionDraws,
+    want_grads: bool = True,
+    predictor: Callable[[np.ndarray], np.ndarray] | None = None,
+    dtype: type = np.float32,
+) -> tuple[float, Gradients | None]:
+    """Mean squared error of ``objective``'s regression target on ``batch``.
+
+    ``draws`` (from that objective's draw maker) pin the loss, which is how
+    tests and gradient checks keep it deterministic. ``predictor`` replaces
+    the network for oracle evaluations and disables gradients.
+    """
     if not batch:
         raise ValueError("batch must be non-empty")
     targets = np.stack([target for _, target in batch])
     blocks, masks = condition_features([cond for cond, _ in batch], targets.shape[1])
     _, pairs = _OBJECTIVES[objective]
-    inputs, reg_targets = pairs(targets, blocks, masks, draws, sched)
+    inputs, reg_targets = pairs(targets, blocks, masks, draws)
     return _regression_loss(net, inputs, reg_targets, want_grads, predictor, dtype)
-
-
-def loss_rectified_flow(
-    net: DenseNet,
-    batch: Sequence[tuple[ConditionSet, np.ndarray]],
-    draws: FlowDraws,
-    want_grads: bool = True,
-    predictor: Callable[[np.ndarray], np.ndarray] | None = None,
-    dtype: type = np.float32,
-) -> tuple[float, Gradients | None]:
-    """Mean squared error against the straight-path velocity target e - x0.
-
-    ``draws`` (t, x0, dropout coins) pin the loss, which is how tests and
-    gradient checks keep it deterministic. ``predictor`` replaces the network
-    for oracle evaluations and disables gradients.
-    """
-    return _objective_loss("rectified_flow", net, batch, None, draws, want_grads, predictor, dtype)
-
-
-def loss_diffusion_prior(
-    net: DenseNet,
-    batch: Sequence[tuple[ConditionSet, np.ndarray]],
-    sched: NoiseSchedule,
-    draws: DiffusionDraws,
-    want_grads: bool = True,
-    predictor: Callable[[np.ndarray], np.ndarray] | None = None,
-    dtype: type = np.float32,
-) -> tuple[float, Gradients | None]:
-    """Mean squared error of the clean-composite prediction from e_t."""
-    return _objective_loss("diffusion_prior", net, batch, sched, draws, want_grads, predictor, dtype)
 
 
 @dataclasses.dataclass
@@ -243,13 +214,12 @@ def train(config: TrainConfig, dataset: Sequence[tuple[ConditionSet, np.ndarray]
     """Seeded single-threaded training; identical config gives identical curves.
 
     Each step draws the batch indices, then the objective's draws, from one
-    seeded stream, and regresses through the same objective function as the
-    loss_* helpers. The learning rate follows a half-cosine from config.lr
+    seeded stream, and regresses through the same pairs and loss as
+    objective_loss. The learning rate follows a half-cosine from config.lr
     to zero. A non-finite loss aborts with the step index.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
-    sched = NoiseSchedule()
     make_draws, pairs = _OBJECTIVES[config.objective]
     d = dataset[0][1].size
     net = DenseNet.init([input_dim(d)] + list(config.hidden_dims) + [d], seed=config.seed)
@@ -260,8 +230,8 @@ def train(config: TrainConfig, dataset: Sequence[tuple[ConditionSet, np.ndarray]
     losses: list[float] = []
     for step in range(1, config.steps + 1):
         idx = rng.integers(0, len(dataset), size=config.batch_size)
-        draws = make_draws(rng, config.batch_size, d, sched, config.cond_dropout)
-        inputs, reg_targets = pairs(targets[idx], blocks[idx], masks[idx], draws, sched)
+        draws = make_draws(rng, config.batch_size, d, config.cond_dropout)
+        inputs, reg_targets = pairs(targets[idx], blocks[idx], masks[idx], draws)
         try:
             loss, grads = _regression_loss(net, inputs, reg_targets, True, None, np.float32)
         except NonFiniteLoss as exc:
@@ -348,17 +318,16 @@ def sample_diffusion_batch(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    sched = NoiseSchedule()
-    timesteps = np.unique(np.linspace(1, sched.T, min(n_steps, sched.T)).round().astype(int))[::-1]
+    timesteps = np.unique(np.linspace(1, DIFFUSION_STEPS, min(n_steps, DIFFUSION_STEPS)).round().astype(int))[::-1]
     blocks, masks = condition_features(conds, d)
     x = np.stack([np.random.default_rng(combine_seed(seed, i)).standard_normal(d) for i in range(len(conds))])
     for j, t in enumerate(timesteps):
         tau = np.full(len(conds), float(t))
         e_hat = _guided(net, x, tau, blocks, masks, cfg_scale)
-        ab_t = sched.alpha_bar(int(t))
+        ab_t = ALPHA_BARS[t]
         eps_hat = (x - np.sqrt(ab_t) * e_hat) / np.sqrt(1.0 - ab_t)
-        t_prev = int(timesteps[j + 1]) if j + 1 < len(timesteps) else 0
-        ab_prev = sched.alpha_bar(t_prev)
+        t_prev = timesteps[j + 1] if j + 1 < len(timesteps) else 0
+        ab_prev = ALPHA_BARS[t_prev]
         x = np.sqrt(ab_prev) * e_hat + np.sqrt(1.0 - ab_prev) * eps_hat
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 

@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import sys
+from html import escape
 from pathlib import Path
 from typing import Sequence
 
@@ -39,7 +40,7 @@ def _svg_header(width: int, height: int, title: str) -> list[str]:
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width // 2}" y="24" text-anchor="middle" font-family="sans-serif" font-size="16">{title}</text>',
+        f'<text x="{width // 2}" y="24" text-anchor="middle" font-family="sans-serif" font-size="16">{escape(title, quote=False)}</text>',
     ]
 
 
@@ -88,10 +89,10 @@ def svg_line_chart(
             f'<text x="{margin_l - 8}" y="{py(y):.1f}" text-anchor="end" font-family="sans-serif" font-size="12">{y:.2f}</text>'
         )
     parts.append(
-        f'<text x="{margin_l + plot_w / 2:.1f}" y="{height - 10}" text-anchor="middle" font-family="sans-serif" font-size="13">{x_label}</text>'
+        f'<text x="{margin_l + plot_w / 2:.1f}" y="{height - 10}" text-anchor="middle" font-family="sans-serif" font-size="13">{escape(x_label, quote=False)}</text>'
     )
     parts.append(
-        f'<text x="18" y="{margin_t + plot_h / 2:.1f}" text-anchor="middle" font-family="sans-serif" font-size="13" transform="rotate(-90 18 {margin_t + plot_h / 2:.1f})">{y_label}</text>'
+        f'<text x="18" y="{margin_t + plot_h / 2:.1f}" text-anchor="middle" font-family="sans-serif" font-size="13" transform="rotate(-90 18 {margin_t + plot_h / 2:.1f})">{escape(y_label, quote=False)}</text>'
     )
     for idx, label in enumerate(sorted(series)):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -103,7 +104,7 @@ def svg_line_chart(
         legend_y = margin_t + 6 + 18 * idx
         parts.append(f'<rect x="{width - 160}" y="{legend_y - 10}" width="12" height="12" fill="{color}"/>')
         parts.append(
-            f'<text x="{width - 142}" y="{legend_y}" font-family="sans-serif" font-size="12">{label}</text>'
+            f'<text x="{width - 142}" y="{legend_y}" font-family="sans-serif" font-size="12">{escape(label, quote=False)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -135,7 +136,7 @@ def svg_bar_chart(values: dict[str, float], title: str, width: int = 640, height
             f'<text x="{x + bar_w / 2:.1f}" y="{y - 6:.1f}" text-anchor="middle" font-family="sans-serif" font-size="12">{v:.4g}</text>'
         )
         parts.append(
-            f'<text x="{x + bar_w / 2:.1f}" y="{margin_t + plot_h + 20}" text-anchor="middle" font-family="sans-serif" font-size="12">{label}</text>'
+            f'<text x="{x + bar_w / 2:.1f}" y="{margin_t + plot_h + 20}" text-anchor="middle" font-family="sans-serif" font-size="12">{escape(label, quote=False)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -146,7 +147,8 @@ def complexity_report(reports: Sequence[dict], out_csv: str | Path, out_svg: str
     line chart, one line per model label.
 
     Every report needs the same metric name (a string), an integer
-    complexity, a finite final_score and a model label; anything else raises
+    complexity, a finite final_score and, if given, a string model label;
+    each (model, complexity) pair appears once. Anything else raises
     MalformedReport. Both texts are rendered before either file is written,
     and a failed write leaves neither file behind.
     """
@@ -164,13 +166,17 @@ def complexity_report(reports: Sequence[dict], out_csv: str | Path, out_svg: str
     for r in reports:
         if "complexity" not in r:
             raise MalformedReport("report lacks a complexity field")
-        model = str(r.get("model", "model"))
+        model = r.get("model", "model")
+        if not isinstance(model, str):
+            raise MalformedReport(f"report model must be a string, got {model!r}")
         complexity, score = r["complexity"], r["final_score"]
         # bools are ints to Python; the comparison is exact for ints and false for NaN
         if type(complexity) is not int or type(score) not in (int, float) or not abs(score) <= sys.float_info.max:
             raise MalformedReport(
                 f"report complexity and final_score must be numbers (an integer, a finite number), got {complexity!r} and {score!r}"
             )
+        if any(x == complexity for x, _ in series.get(model, [])):
+            raise MalformedReport(f"more than one report for model {model!r} at complexity {complexity}")
         series.setdefault(model, []).append((complexity, float(score)))
         rows.append({"metric": metric, "model": model, "complexity": complexity, "final_score": float(score)})
     rows.sort(key=lambda row: (row["model"], row["complexity"]))

@@ -27,12 +27,10 @@ from partgen.metrics import (
 from partgen.nn import DenseNet, grad_check, load_checkpoint
 from partgen.parteval import GradeRecord, parteval_score
 from partgen.prior import (
-    NoiseSchedule,
     default_layer_dims,
-    loss_diffusion_prior,
-    loss_rectified_flow,
     make_diffusion_draws,
     make_flow_draws,
+    objective_loss,
 )
 from partgen.taxonomy import (
     RenderConfig,
@@ -109,15 +107,14 @@ def test_criterion_03_gradient_correctness(taxonomy, world):
     start = time.monotonic()
     batch = make_dataset(list(generate_corpus(taxonomy, 8, master_seed=71)), taxonomy, world)
     net = DenseNet.init(default_layer_dims(world.d), seed=3)
-    sched = NoiseSchedule()
     flow_draws = make_flow_draws(np.random.default_rng(72), len(batch), world.d, cond_dropout=0.3)
-    diff_draws = make_diffusion_draws(np.random.default_rng(73), len(batch), world.d, sched, 0.3)
+    diff_draws = make_diffusion_draws(np.random.default_rng(73), len(batch), world.d, 0.3)
 
     def flow_loss(candidate):
-        return loss_rectified_flow(candidate, batch, draws=flow_draws, dtype=np.float64)
+        return objective_loss("rectified_flow", candidate, batch, draws=flow_draws, dtype=np.float64)
 
     def diffusion_loss(candidate):
-        return loss_diffusion_prior(candidate, batch, sched, draws=diff_draws, dtype=np.float64)
+        return objective_loss("diffusion_prior", candidate, batch, draws=diff_draws, dtype=np.float64)
 
     flow_err = grad_check(net, flow_loss, probes=12, seed=4)
     diff_err = grad_check(net, diffusion_loss, probes=12, seed=5)
@@ -289,14 +286,13 @@ def test_criterion_10_oracle_net_zero_loss(taxonomy, world):
 
     flow_draws = make_flow_draws(np.random.default_rng(112), len(batch), world.d, 0.0)
     flow_oracle = targets - flow_draws.x0
-    flow_loss, _ = loss_rectified_flow(
-        net, batch, draws=flow_draws, want_grads=False, predictor=lambda inputs: flow_oracle
+    flow_loss, _ = objective_loss(
+        "rectified_flow", net, batch, draws=flow_draws, want_grads=False, predictor=lambda inputs: flow_oracle
     )
 
-    sched = NoiseSchedule()
-    diff_draws = make_diffusion_draws(np.random.default_rng(113), len(batch), world.d, sched, 0.0)
-    diff_loss, _ = loss_diffusion_prior(
-        net, batch, sched, draws=diff_draws, want_grads=False, predictor=lambda inputs: targets
+    diff_draws = make_diffusion_draws(np.random.default_rng(113), len(batch), world.d, 0.0)
+    diff_loss, _ = objective_loss(
+        "diffusion_prior", net, batch, draws=diff_draws, want_grads=False, predictor=lambda inputs: targets
     )
     elapsed = time.monotonic() - start
     ok = flow_loss < 1e-10 and diff_loss < 1e-10 and elapsed < 10.0

@@ -268,7 +268,7 @@ MALFORMED = [
     ("rerun-config-list", ["pipeline", "rerun", "--manifest", "{manifest_config_list}", "--out", "{out}"], 1, "'config'"),
     ("verify-artifacts-list", ["pipeline", "verify", "--manifest", "{manifest_artifacts_list}"], 1, "'artifacts'"),
     ("verify-missing-manifest", ["pipeline", "verify", "--manifest", "{tmp}/absent.json"], 1, "absent.json"),
-    ("report-missing-file", ["report", "{tmp}/absent.json", "--out-csv", "{out}", "--out-svg", "{out}"], 1, "absent.json"),
+    ("report-missing-file", ["report", "{tmp}/absent.json", "--out-csv", "{out}", "--out-svg", "{out}.svg"], 1, "absent.json"),
     ("taxonomy-validate-missing-file", ["taxonomy", "validate", "{tmp}/absent.txt"], 1, "absent.txt"),
     ("corpus-gen-n-0", ["corpus", "gen", "--n", "0", "--out", "{out}"], 2, "--n"),
     ("corpus-gen-seed-not-int", ["corpus", "gen", "--n", "5", "--seed", "1.5", "--out", "{out}"], 2, "--seed"),
@@ -301,17 +301,21 @@ MALFORMED = [
     ("report-out-csv-missing-dir", ["report", "{report}", "--out-csv", "{tmp}/absent/r.csv", "--out-svg", "{out}"], 1, "absent/r.csv"),
     ("verify-artifact-is-dir", ["pipeline", "verify", "--manifest", "{manifest_artifact_dir}"], 1, "a_dir"),
     # reports whose fields are not what they claim
-    ("report-complexity-text", ["report", "{report_complexity_text}", "--out-csv", "{out}", "--out-svg", "{out}"], 1, "'two'"),
-    ("report-score-text", ["report", "{report_score_text}", "--out-csv", "{out}", "--out-svg", "{out}"], 1, "'high'"),
-    ("report-not-object", ["report", "{report_string}", "--out-csv", "{out}", "--out-svg", "{out}"], 1, "JSON object"),
-    ("report-metric-list", ["report", "{report_metric_list}", "--out-csv", "{out}", "--out-svg", "{out}"], 1,
+    ("report-complexity-text", ["report", "{report_complexity_text}", "--out-csv", "{out}", "--out-svg", "{out}.svg"], 1, "'two'"),
+    ("report-score-text", ["report", "{report_score_text}", "--out-csv", "{out}", "--out-svg", "{out}.svg"], 1, "'high'"),
+    ("report-not-object", ["report", "{report_string}", "--out-csv", "{out}", "--out-svg", "{out}.svg"], 1, "JSON object"),
+    ("report-metric-list", ["report", "{report_metric_list}", "--out-csv", "{out}", "--out-svg", "{out}.svg"], 1,
      "metric must be a string"),
-    ("report-complexity-fraction", ["report", "{report_complexity_fraction}", "--out-csv", "{out}", "--out-svg", "{out}"], 1, "2.5"),
-    ("report-complexity-bool", ["report", "{report_complexity_bool}", "--out-csv", "{out}", "--out-svg", "{out}"], 1, "True"),
-    ("report-score-nan", ["report", "{report_score_nan}", "--out-csv", "{out}", "--out-svg", "{out}"], 1, "nan"),
-    ("report-score-bool", ["report", "{report_score_bool}", "--out-csv", "{out}", "--out-svg", "{out}"], 1, "True"),
+    ("report-complexity-fraction", ["report", "{report_complexity_fraction}", "--out-csv", "{out}", "--out-svg", "{out}.svg"], 1, "2.5"),
+    ("report-complexity-bool", ["report", "{report_complexity_bool}", "--out-csv", "{out}", "--out-svg", "{out}.svg"], 1, "True"),
+    ("report-score-nan", ["report", "{report_score_nan}", "--out-csv", "{out}", "--out-svg", "{out}.svg"], 1, "nan"),
+    ("report-score-bool", ["report", "{report_score_bool}", "--out-csv", "{out}", "--out-svg", "{out}.svg"], 1, "True"),
     ("report-out-svg-missing-dir", ["report", "{report}", "--out-csv", "{tmp}/r.csv", "--out-svg", "{tmp}/absent/r.svg"], 1,
      "absent/r.svg"),
+    ("report-same-output", ["report", "{report}", "--out-csv", "{tmp}/r.out", "--out-svg", "{tmp}/./r.out"], 2, "same file"),
+    ("report-repeated-point", ["report", "{report}", "{report}", "--out-csv", "{out}", "--out-svg", "{out}.svg"], 1,
+     "model 'prior' at complexity 2"),
+    ("report-model-list", ["report", "{report_model_list}", "--out-csv", "{out}", "--out-svg", "{out}.svg"], 1, "['x']"),
 ]
 
 
@@ -342,6 +346,7 @@ class TestMalformedInput:
             "report_complexity_bool": {**report, "complexity": True},
             "report_score_nan": {**report, "final_score": float("nan")},
             "report_score_bool": {**report, "final_score": True},
+            "report_model_list": {**report, "model": ["x"]},
         }
         for name, body in json_inputs.items():
             paths[name] = str(tmp_path / f"{name}.json")

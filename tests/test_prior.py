@@ -9,19 +9,19 @@ from partgen.errors import NonFiniteLoss, ValidationError
 from partgen.hashing import combine_seed
 from partgen.nn import DenseNet
 from partgen.prior import (
+    ALPHA_BARS,
+    DIFFUSION_STEPS,
     FLOW_TIME_SCALE,
     OBJECTIVES,
     TIME_ENC_DIM,
     FlowDraws,
-    NoiseSchedule,
     TrainConfig,
     build_inputs,
     condition_features,
     input_dim,
-    loss_diffusion_prior,
-    loss_rectified_flow,
     make_diffusion_draws,
     make_flow_draws,
+    objective_loss,
     q_sample,
     sample_diffusion_batch,
     sample_flow_batch,
@@ -79,23 +79,20 @@ class TestEncodings:
 
 class TestNoiseSchedule:
     def test_alpha_bar_boundaries(self):
-        sched = NoiseSchedule()
-        assert sched.T == 1000
-        assert sched.alpha_bar(0) == 1.0
-        assert sched.alpha_bar(1) == pytest.approx(1.0 - 1e-4)
-        assert sched.alpha_bar(sched.T) < 1e-4
+        assert DIFFUSION_STEPS == 1000 and ALPHA_BARS.shape == (DIFFUSION_STEPS + 1,)
+        assert ALPHA_BARS[0] == 1.0
+        assert ALPHA_BARS[1] == pytest.approx(1.0 - 1e-4)
+        assert ALPHA_BARS[DIFFUSION_STEPS] < 1e-4
 
     def test_alpha_bar_monotone(self):
-        sched = NoiseSchedule()
-        bars = sched.alpha_bar(np.arange(1, sched.T + 1))
+        bars = ALPHA_BARS[1:]
         assert np.all(np.diff(bars) < 0)
 
     def test_q_sample_interpolates(self):
-        sched = NoiseSchedule()
         e = np.ones((2, 4))
         eps = np.zeros((2, 4))
-        assert np.allclose(q_sample(e, 1, eps, sched), np.sqrt(sched.alpha_bar(1)))
-        noisy = q_sample(e, np.array([1, sched.T]), np.ones((2, 4)), sched)
+        assert np.allclose(q_sample(e, 1, eps), np.sqrt(ALPHA_BARS[1]))
+        noisy = q_sample(e, np.array([1, DIFFUSION_STEPS]), np.ones((2, 4)))
         assert not np.allclose(noisy[0], noisy[1])
 
 
@@ -107,7 +104,7 @@ class TestLosses:
         net = _zero_net(world.d)
         for _ in range(40):
             draws = make_flow_draws(rng, len(small_batch), world.d, 0.0)
-            loss, _ = loss_rectified_flow(net, small_batch, draws=draws, want_grads=False)
+            loss, _ = objective_loss("rectified_flow", net, small_batch, draws=draws, want_grads=False)
             losses.append(loss)
         assert abs(np.mean(losses) - (1 + world.d)) < 6.0
 
@@ -116,32 +113,34 @@ class TestLosses:
         rng = np.random.default_rng(1)
         draws = make_flow_draws(rng, len(small_batch), world.d, cond_dropout=0.0)
         oracle = targets - draws.x0
-        loss, grads = loss_rectified_flow(
-            _zero_net(world.d), small_batch, draws=draws, want_grads=False, predictor=lambda inputs: oracle
+        loss, grads = objective_loss(
+            "rectified_flow", _zero_net(world.d), small_batch, draws=draws, want_grads=False,
+            predictor=lambda inputs: oracle,
         )
         assert loss < 1e-10 and grads is None
 
     def test_diffusion_oracle_predictor_zero_loss(self, small_batch, world):
         targets = np.stack([t for _, t in small_batch])
-        sched = NoiseSchedule()
-        draws = make_diffusion_draws(np.random.default_rng(2), len(small_batch), world.d, sched, 0.0)
-        loss, _ = loss_diffusion_prior(
-            _zero_net(world.d), small_batch, sched, draws=draws, want_grads=False, predictor=lambda inputs: targets
+        draws = make_diffusion_draws(np.random.default_rng(2), len(small_batch), world.d, 0.0)
+        loss, _ = objective_loss(
+            "diffusion_prior", _zero_net(world.d), small_batch, draws=draws, want_grads=False,
+            predictor=lambda inputs: targets,
         )
         assert loss < 1e-10
 
     def test_predictor_refuses_gradients(self, small_batch, world):
         draws = make_flow_draws(np.random.default_rng(3), len(small_batch), world.d, 0.0)
         with pytest.raises(ValueError):
-            loss_rectified_flow(
-                _zero_net(world.d), small_batch, draws=draws, want_grads=True, predictor=lambda inputs: inputs
+            objective_loss(
+                "rectified_flow", _zero_net(world.d), small_batch, draws=draws, want_grads=True,
+                predictor=lambda inputs: inputs,
             )
 
     def test_fixed_draws_make_loss_deterministic(self, small_batch, world):
         net = DenseNet.init([input_dim(world.d), 16, world.d], seed=5)
         draws = make_flow_draws(np.random.default_rng(4), len(small_batch), world.d, 0.2)
-        a, _ = loss_rectified_flow(net, small_batch, draws=draws, want_grads=False)
-        b, _ = loss_rectified_flow(net, small_batch, draws=draws, want_grads=False)
+        a, _ = objective_loss("rectified_flow", net, small_batch, draws=draws, want_grads=False)
+        b, _ = objective_loss("rectified_flow", net, small_batch, draws=draws, want_grads=False)
         assert a == b
 
     def test_dropout_zeroes_condition_and_mask(self, small_batch, world):
@@ -156,7 +155,7 @@ class TestLosses:
             seen["inputs"] = inputs.copy()
             return np.zeros((1, world.d))
 
-        loss_rectified_flow(_zero_net(world.d), batch, draws=draws, want_grads=False, predictor=spy)
+        objective_loss("rectified_flow", _zero_net(world.d), batch, draws=draws, want_grads=False, predictor=spy)
         inputs = seen["inputs"]
         assert np.all(inputs[0, world.d + TIME_ENC_DIM:] == 0.0)
 
@@ -164,7 +163,9 @@ class TestLosses:
         draws = make_flow_draws(np.random.default_rng(6), len(small_batch), world.d, 0.0)
         bad = lambda inputs: np.full((len(small_batch), world.d), np.nan)
         with pytest.raises(NonFiniteLoss):
-            loss_rectified_flow(_zero_net(world.d), small_batch, draws=draws, want_grads=False, predictor=bad)
+            objective_loss(
+                "rectified_flow", _zero_net(world.d), small_batch, draws=draws, want_grads=False, predictor=bad
+            )
 
 
 class TestTrainLoop:
@@ -209,13 +210,9 @@ class TestTrainLoop:
         rng = np.random.default_rng(combine_seed(config.seed, 0xA11))
         idx = rng.integers(0, len(small_batch), size=config.batch_size)
         batch = [small_batch[i] for i in idx]
-        if objective == "rectified_flow":
-            draws = make_flow_draws(rng, config.batch_size, world.d, config.cond_dropout)
-            loss, _ = loss_rectified_flow(net, batch, draws=draws)
-        else:
-            sched = NoiseSchedule()
-            draws = make_diffusion_draws(rng, config.batch_size, world.d, sched, config.cond_dropout)
-            loss, _ = loss_diffusion_prior(net, batch, sched, draws=draws)
+        make_draws = make_flow_draws if objective == "rectified_flow" else make_diffusion_draws
+        draws = make_draws(rng, config.batch_size, world.d, config.cond_dropout)
+        loss, _ = objective_loss(objective, net, batch, draws=draws)
         assert 0 < draws.drop.sum() < config.batch_size
         assert result.losses[0] == loss
 
@@ -304,6 +301,22 @@ class TestSamplers:
         base = sample_flow_batch(net, conds, world.d, n_steps=6, seed=7, cfg_scale=1.0)
         guided = sample_flow_batch(net, conds, world.d, n_steps=6, seed=7, cfg_scale=3.0)
         assert not np.allclose(base, guided)
+
+    # sha256 over both cfg settings' output bytes, taken on the code from
+    # before the schedule became the ALPHA_BARS table (x86-64, numpy 2.4.6,
+    # OpenBLAS 0.3.31); cfg_scale=2 covers the unconditional branch
+    @pytest.mark.parametrize("objective", ["flow", "diffusion"])
+    def test_sampler_digest_pinned(self, world, small_batch, objective):
+        digest, sampler = {
+            "flow": ("5daca8bed873a8fa2f78f66ece06908aeeb2873ef06a9bde170a46f42f9fff75", sample_flow_batch),
+            "diffusion": ("e26936ec4c97664f0f0e1a2b0c91dbb9893aa21e194b5e421f944432ada4cb48", sample_diffusion_batch),
+        }[objective]
+        net = DenseNet.init([input_dim(world.d), 32, world.d], seed=14)
+        conds = [c for c, _ in small_batch[:5]]
+        h = hashlib.sha256()
+        for cfg_scale in (1.0, 2.0):
+            h.update(sampler(net, conds, world.d, n_steps=10, cfg_scale=cfg_scale, seed=8).tobytes())
+        assert h.hexdigest() == digest
 
     def test_step_count_validated(self, world, small_batch):
         conds = [c for c, _ in small_batch[:1]]

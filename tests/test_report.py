@@ -2,6 +2,7 @@
 
 import csv
 import xml.etree.ElementTree as ET
+from xml.dom import minidom
 
 import pytest
 
@@ -88,6 +89,16 @@ class TestCharts:
         rects = [el for el in root.iter() if el.tag.endswith("rect")]
         assert len(rects) >= 3  # background + two bars
 
+    @pytest.mark.parametrize("chart", ["line", "bar"])
+    def test_text_is_escaped(self, chart):
+        label = "R&D <v2>"
+        if chart == "line":
+            svg = svg_line_chart({label: [(2, 0.5)]}, title=f"{label} scores", x_label=f"{label} x", y_label=f"{label} y")
+        else:
+            svg = svg_bar_chart({label: 0.5}, title=f"{label}: metrics")
+        texts = [node.firstChild.data for node in minidom.parseString(svg).getElementsByTagName("text")]
+        assert sum(label in text for text in texts) == (4 if chart == "line" else 2)
+
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
             svg_line_chart({}, title="t", x_label="x", y_label="y")
@@ -131,15 +142,21 @@ class TestComplexityReport:
     @pytest.mark.parametrize(
         "field, value",
         [("metric", ["parteval"]), ("complexity", 2.5), ("complexity", True), ("final_score", float("nan")),
-         ("final_score", float("inf")), ("final_score", True), ("final_score", 10**400)],
+         ("final_score", float("inf")), ("final_score", True), ("final_score", 10**400), ("model", ["x"])],
         ids=["metric-list", "complexity-fraction", "complexity-bool", "final_score-nan", "final_score-inf",
-             "final_score-bool", "final_score-huge-int"],
+             "final_score-bool", "final_score-huge-int", "model-list"],
     )
     def test_wrong_field_type_rejected(self, tmp_path, field, value):
         report = _report()
         report[field] = value
         with pytest.raises(MalformedReport, match=field):
             complexity_report([report], tmp_path / "x.csv", tmp_path / "x.svg")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("second", [_report(score=0.7), _report(score=0.5)], ids=["other-score", "same-report"])
+    def test_repeated_model_and_complexity_rejected(self, tmp_path, second):
+        with pytest.raises(MalformedReport, match="model 'prior' at complexity 2"):
+            complexity_report([_report(), _report(complexity=3), second], tmp_path / "x.csv", tmp_path / "x.svg")
         assert list(tmp_path.iterdir()) == []
 
     def test_no_reports_rejected(self, tmp_path):
