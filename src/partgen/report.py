@@ -6,12 +6,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from html import escape
 from pathlib import Path
 from typing import Sequence
 
 from .errors import MalformedReport
+from .taxonomy import MAX_ATOMS_PER_PROMPT, MIN_ATOMS_PER_PROMPT
 
 REQUIRED_REPORT_FIELDS = ("metric", "per_sample", "final_score")
 
@@ -55,7 +57,10 @@ def svg_line_chart(
     width: int = 640,
     height: int = 400,
 ) -> str:
-    """Line chart with one polyline per series, legend, and value labels."""
+    """Line chart with one polyline per series, legend, and value labels.
+
+    Raises MalformedReport when the values' range overflows a float.
+    """
     if not series:
         raise ValueError("series must be non-empty")
     margin_l, margin_r, margin_t, margin_b = 70, 30, 50, 50
@@ -67,6 +72,9 @@ def svg_line_chart(
     y_min, y_max = min(0.0, min(ys)), max(1.0, max(ys))
     x_span = (x_max - x_min) or 1.0
     y_span = (y_max - y_min) or 1.0
+    if not (math.isfinite(x_span) and math.isfinite(y_span)):
+        # two finite values can still lie further apart than a float holds
+        raise MalformedReport(f"chart values span more than a float holds: x {x_min:g} to {x_max:g}, y {y_min:g} to {y_max:g}")
 
     def px(x: float) -> float:
         return margin_l + (x - x_min) / x_span * plot_w
@@ -147,8 +155,9 @@ def complexity_report(reports: Sequence[dict], out_csv: str | Path, out_svg: str
     line chart, one line per model label.
 
     Every report needs the same metric name (a string), an integer
-    complexity, a finite final_score and, if given, a string model label;
-    each (model, complexity) pair appears once. Anything else raises
+    complexity that is a part count (2 to 4), a finite final_score and, if
+    given, a string model label; each (model, complexity) pair appears once,
+    and the scores' range must fit in a float. Anything else raises
     MalformedReport. Both texts are rendered before either file is written,
     and a failed write leaves neither file behind.
     """
@@ -174,6 +183,10 @@ def complexity_report(reports: Sequence[dict], out_csv: str | Path, out_svg: str
         if type(complexity) is not int or type(score) not in (int, float) or not abs(score) <= sys.float_info.max:
             raise MalformedReport(
                 f"report complexity and final_score must be numbers (an integer, a finite number), got {complexity!r} and {score!r}"
+            )
+        if not MIN_ATOMS_PER_PROMPT <= complexity <= MAX_ATOMS_PER_PROMPT:
+            raise MalformedReport(
+                f"report complexity must be a part count in [{MIN_ATOMS_PER_PROMPT}, {MAX_ATOMS_PER_PROMPT}], got {complexity}"
             )
         if any(x == complexity for x, _ in series.get(model, [])):
             raise MalformedReport(f"more than one report for model {model!r} at complexity {complexity}")

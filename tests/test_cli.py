@@ -316,6 +316,10 @@ MALFORMED = [
     ("report-repeated-point", ["report", "{report}", "{report}", "--out-csv", "{out}", "--out-svg", "{out}.svg"], 1,
      "model 'prior' at complexity 2"),
     ("report-model-list", ["report", "{report_model_list}", "--out-csv", "{out}", "--out-svg", "{out}.svg"], 1, "['x']"),
+    ("report-complexity-negative", ["report", "{report_complexity_negative}", "--out-csv", "{out}", "--out-svg", "{out}.svg"], 1,
+     "got -3"),
+    ("report-score-spread-overflow", ["report", "{report_score_huge}", "{report_score_huge_negative}",
+                                      "--out-csv", "{out}", "--out-svg", "{out}.svg"], 1, "span more than a float holds"),
 ]
 
 
@@ -347,6 +351,9 @@ class TestMalformedInput:
             "report_score_nan": {**report, "final_score": float("nan")},
             "report_score_bool": {**report, "final_score": True},
             "report_model_list": {**report, "model": ["x"]},
+            "report_complexity_negative": {**report, "complexity": -3},
+            "report_score_huge": {**report, "model": "a", "final_score": 1.7e308},
+            "report_score_huge_negative": {**report, "model": "b", "final_score": -1.7e308},
         }
         for name, body in json_inputs.items():
             paths[name] = str(tmp_path / f"{name}.json")

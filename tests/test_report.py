@@ -159,6 +159,19 @@ class TestComplexityReport:
             complexity_report([_report(), _report(complexity=3), second], tmp_path / "x.csv", tmp_path / "x.svg")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("complexity", [-3, 0, 1, 5])
+    def test_complexity_outside_part_counts_rejected(self, tmp_path, complexity):
+        with pytest.raises(MalformedReport, match=rf"part count in \[2, 4\], got {complexity}$"):
+            complexity_report([_report(), _report(complexity=complexity)], tmp_path / "x.csv", tmp_path / "x.svg")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_score_spread_beyond_a_float_rejected(self, tmp_path):
+        # each score is finite, but their difference overflows
+        reports = [_report(score=1.7e308), _report(model="other", score=-1.7e308)]
+        with pytest.raises(MalformedReport, match="span more than a float holds"):
+            complexity_report(reports, tmp_path / "x.csv", tmp_path / "x.svg")
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_reports_rejected(self, tmp_path):
         with pytest.raises(MalformedReport):
             complexity_report([], tmp_path / "x.csv", tmp_path / "x.svg")
