@@ -24,7 +24,9 @@ from . import __version__
 from .errors import PartgenError
 from .hashing import combine_seed
 from .manifest import build_manifest, load_manifest, verify_artifacts, write_manifest
-from .metrics import compositional_accuracy, compositional_accuracy_by_k, fid, gaussian_stats, kid
+from .metrics import fid, gaussian_stats, kid, slot_match
+# unused: perfbench/tracing.py BOUNDARIES pins them until a benchmark PR moves the boundary (ROADMAP item 1)
+from .metrics import compositional_accuracy, compositional_accuracy_by_k  # noqa: F401
 from .nn import load_checkpoint, save_checkpoint
 from .parteval import OracleGrader, parteval_grade_many, parteval_questions, parteval_score
 from .prior import TrainConfig, sample_diffusion_batch, sample_flow_batch, train, write_loss_csv
@@ -302,10 +304,10 @@ def run_eval_stage(
 ) -> dict[str, Path]:
     """Sample every eval condition set, score it, and write the report files.
 
-    Returns the artifact paths it wrote. The summary report's final_score is
-    the compositional accuracy; FID/KID compare the generated batch to the
-    oracle targets; the per-part faithfulness uses the oracle grader (each
-    part contributes an object and a part question at desk scale).
+    Returns the artifact paths it wrote. Each sample is decoded once, and
+    the slot match, compositional accuracy (the summary's final_score) and
+    the oracle grader's PartEval verdicts all read those atoms; FID/KID
+    compare the generated batch to the oracle targets.
     """
     conds = [condition_set(r.atoms, world) for r in eval_records]
     targets = np.stack([compose_target(c, world) for c in conds])
@@ -320,17 +322,15 @@ def run_eval_stage(
             decoded_all.append(decoded)
             fh.write(json.dumps(_sample_record_json(record.id, cond.atoms, gen, target, decoded)) + "\n")
 
-    paired = list(zip(generated, conds))
-    comp_acc = compositional_accuracy(paired, taxonomy, world)
-    comp_by_k = compositional_accuracy_by_k(paired, taxonomy, world)
+    slot_matches, comp_acc, comp_by_k = slot_match(decoded_all, conds)
     cosines = np.sum(generated * targets, axis=1)
 
     jobs = [
-        ({"embedding": gen, "k": cond.k, "slot": slot}, parteval_questions(atom))
-        for cond, gen in zip(conds, generated)
+        ({"decoded": decoded, "slot": slot}, parteval_questions(atom))
+        for cond, decoded in zip(conds, decoded_all)
         for slot, atom in enumerate(cond.atoms)
     ]
-    grades = parteval_grade_many(OracleGrader(taxonomy, world), jobs)
+    grades = parteval_grade_many(OracleGrader(), jobs)
     graded = iter(grades)  # k jobs per sample, in sample order
     sample_grades = [[next(graded) for _ in range(cond.k)] for cond in conds]
     parteval_overall = parteval_score(grades)
@@ -345,12 +345,11 @@ def run_eval_stage(
 
     per_sample = []
     for i, (record, cond) in enumerate(zip(eval_records, conds)):
-        matches = sum(d.key == a.key for d, a in zip(decoded_all[i], cond.atoms))
         per_sample.append({
             "id": record.id,
             "k": cond.k,
             "cosine": float(cosines[i]),
-            "slot_match": matches / cond.k,
+            "slot_match": slot_matches[i],
             "parteval": float(np.mean([g.normalized for g in sample_grades[i]])),
         })
 

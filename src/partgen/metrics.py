@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NonConvergent, TooFewSamples
-from .taxonomy import Taxonomy
+from .taxonomy import SemanticAtom, Taxonomy
 from .world import ConditionSet, WorldSpec, decode_parts
 
 _EIG_CLAMP = -1e-8
@@ -105,30 +105,31 @@ def kid(
     return float(values.mean()), float(values.std(ddof=1))
 
 
-def compositional_accuracy(
-    samples: Sequence[tuple[np.ndarray, ConditionSet]],
-    taxonomy: Taxonomy,
-    world: WorldSpec,
-) -> float:
-    """Mean over samples of the fraction of slots whose decoded atom matches
-    the conditioning atom."""
-    if not samples:
+def slot_match(
+    decoded: Sequence[Sequence[SemanticAtom]], conds: Sequence[ConditionSet]
+) -> tuple[list[float], float, dict[int, float]]:
+    """Per sample, the fraction of slots whose decoded atom matches the
+    conditioning atom; their mean (compositional accuracy); and their mean
+    per slot count, each group in sample order."""
+    if not conds:
         raise ValueError("samples must be non-empty")
-    fractions = []
-    for generated, cond in samples:
-        decoded = decode_parts(generated, cond.k, taxonomy, world)
-        matches = sum(d.key == a.key for d, a in zip(decoded, cond.atoms))
-        fractions.append(matches / cond.k)
-    return float(np.mean(fractions))
+    fractions = [sum(d.key == a.key for d, a in zip(atoms, cond.atoms)) / cond.k for atoms, cond in zip(decoded, conds)]
+    by_k: dict[int, list[float]] = {}
+    for fraction, cond in zip(fractions, conds):
+        by_k.setdefault(cond.k, []).append(fraction)
+    return fractions, float(np.mean(fractions)), {k: float(np.mean(group)) for k, group in sorted(by_k.items())}
 
 
-def compositional_accuracy_by_k(
-    samples: Sequence[tuple[np.ndarray, ConditionSet]],
-    taxonomy: Taxonomy,
-    world: WorldSpec,
-) -> dict[int, float]:
-    """compositional_accuracy restricted to each slot count present."""
-    by_k: dict[int, list[tuple[np.ndarray, ConditionSet]]] = {}
-    for generated, cond in samples:
-        by_k.setdefault(cond.k, []).append((generated, cond))
-    return {k: compositional_accuracy(group, taxonomy, world) for k, group in sorted(by_k.items())}
+def _decode_and_match(samples, taxonomy: Taxonomy, world: WorldSpec):
+    conds = [cond for _, cond in samples]
+    return slot_match([decode_parts(generated, cond.k, taxonomy, world) for generated, cond in samples], conds)
+
+
+def compositional_accuracy(samples: Sequence[tuple[np.ndarray, ConditionSet]], taxonomy: Taxonomy, world: WorldSpec) -> float:
+    """slot_match's mean over (generated, cond) pairs not yet decoded."""
+    return _decode_and_match(samples, taxonomy, world)[1]
+
+
+def compositional_accuracy_by_k(samples: Sequence[tuple[np.ndarray, ConditionSet]], taxonomy: Taxonomy, world: WorldSpec) -> dict[int, float]:
+    """slot_match's per-k means over (generated, cond) pairs not yet decoded."""
+    return _decode_and_match(samples, taxonomy, world)[2]

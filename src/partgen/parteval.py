@@ -4,8 +4,9 @@ part, grade them, and average the normalized scores.
 A prompt specifies ⟨part, subject⟩ atoms, so each atom yields two
 questions: is the part that of the subject (object), and is the part there
 (part). A grader is any object with ``verdict(subject_ref, question) -> 0
-or 1``. The shipped grader is the oracle: it answers both questions by
-decoding the generated embedding in the synthetic world.
+or 1``. The shipped grader is the oracle: it answers both questions from
+the atoms the eval stage decoded from the generated embedding, so grading
+decodes nothing.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MalformedVerdict, MixedScale, ValidationError
-from .taxonomy import SemanticAtom, Taxonomy
-from .world import WorldSpec, decode_parts
+from .taxonomy import SemanticAtom
+# unused: perfbench/tracing.py BOUNDARIES pins it until a benchmark PR moves the boundary (ROADMAP item 1)
+from .world import decode_parts  # noqa: F401
 
 QUESTION_TEMPLATES = {
     "object": "Is the {part} recognizably that of a {expected}?",
@@ -62,31 +64,24 @@ def parteval_questions(atom: SemanticAtom) -> list[EvalQuestion]:
 class OracleGrader:
     """Grades against the synthetic world's ground truth.
 
-    subject_ref must be a mapping with "embedding" (the generated vector),
-    "k", and "slot"; a question is checked against the decoded atom at that
-    slot. Each (embedding, k) is decoded once per grader.
+    subject_ref must be a mapping with "decoded" (the atoms the eval stage
+    decoded from the generated embedding, one per slot) and "slot"; a
+    question is checked against the decoded atom at that slot.
     """
 
-    def __init__(self, taxonomy: Taxonomy, world: WorldSpec):
-        self.taxonomy = taxonomy
-        self.world = world
-        self._decode_cache: dict[tuple[bytes, int], list[SemanticAtom]] = {}
-
     def verdict(self, subject_ref, question: EvalQuestion) -> int:
-        embedding = np.asarray(subject_ref["embedding"], dtype=np.float64)
-        key = (embedding.tobytes(), int(subject_ref["k"]))
-        if key not in self._decode_cache:
-            self._decode_cache[key] = decode_parts(embedding, key[1], self.taxonomy, self.world)
-        atom = self._decode_cache[key][int(subject_ref["slot"])]
+        atom = subject_ref["decoded"][subject_ref["slot"]]
         return int((atom.subject if question.attribute == "object" else atom.part) == question.expected)
 
 
 def parteval_grade(grader, subject_ref, questions: Sequence[EvalQuestion]) -> GradeRecord:
-    """One 0/1 verdict per question."""
-    verdicts = [int(grader.verdict(subject_ref, q)) for q in questions]
+    """One verdict per question, each exactly 0 or 1 as an int, a bool or a
+    numpy integer; anything else is a MalformedVerdict."""
+    verdicts = [grader.verdict(subject_ref, q) for q in questions]
     for v in verdicts:
-        if v not in (0, 1):
+        if not isinstance(v, (int, np.integer)) or v not in (0, 1):
             raise MalformedVerdict(f"verdict must be 0 or 1, got {v!r}")
+    verdicts = [int(v) for v in verdicts]
     return GradeRecord(verdicts=verdicts, partial_score=sum(verdicts), max_score=len(verdicts))
 
 

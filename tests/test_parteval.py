@@ -1,7 +1,9 @@
 """Part faithfulness metric: questions, graders, scoring."""
 
+import re
 from typing import Sequence
 
+import numpy as np
 import pytest
 
 from partgen.errors import MalformedVerdict, MixedScale, ValidationError
@@ -15,7 +17,7 @@ from partgen.parteval import (
     parteval_score,
 )
 from partgen.taxonomy import SemanticAtom, generate_corpus
-from partgen.world import compose_target, condition_set
+from partgen.world import compose_target, condition_set, decode_parts
 
 
 def _atom(part="tail", subject="lion", domain="creature"):
@@ -23,16 +25,16 @@ def _atom(part="tail", subject="lion", domain="creature"):
 
 
 class StubGrader:
-    """Answers from a fixed verdict or a repeating sequence."""
+    """Answers from a repeating sequence, each value returned as it is."""
 
-    def __init__(self, verdicts: int | Sequence[int] = 1):
-        self._verdicts = [verdicts] if isinstance(verdicts, int) else list(verdicts)
+    def __init__(self, verdicts: Sequence[object]):
+        self._verdicts = list(verdicts)
         self._cursor = 0
 
-    def verdict(self, subject_ref, question: EvalQuestion) -> int:
+    def verdict(self, subject_ref, question: EvalQuestion):
         v = self._verdicts[self._cursor % len(self._verdicts)]
         self._cursor += 1
-        return int(v)
+        return v
 
 
 class TestExtractAndQuestions:
@@ -66,6 +68,18 @@ class TestGradeArithmetic:
         with pytest.raises(MalformedVerdict):
             parteval_grade(StubGrader([1, 2]), {"any": "ref"}, questions)
 
+    @pytest.mark.parametrize("bad", [0.7, 1.9, "1", None, 1.0, -1, np.float64(1.0)], ids=repr)
+    def test_non_integer_verdict_is_malformed(self, bad):
+        questions = parteval_questions(_atom())
+        with pytest.raises(MalformedVerdict, match=re.escape(repr(bad))):
+            parteval_grade(StubGrader([1, bad]), {"any": "ref"}, questions)
+
+    @pytest.mark.parametrize("good", [[0, 1], [False, True], [np.int64(1), np.uint8(0)]], ids=repr)
+    def test_integer_verdicts_accepted(self, good):
+        record = parteval_grade(StubGrader(good), {"any": "ref"}, parteval_questions(_atom()))
+        assert record.verdicts == [int(v) for v in good]
+        assert all(type(v) is int for v in record.verdicts)
+
     def test_partial_cannot_exceed_max(self):
         with pytest.raises(ValidationError):
             GradeRecord(verdicts=[1, 1], partial_score=3, max_score=2)
@@ -90,40 +104,49 @@ class TestGradeArithmetic:
             parteval_score([])
 
 
+def _decoded_exact(taxonomy, world, master_seed):
+    """(cond, decoded atoms) of the exact composite of one corpus record."""
+    record = next(iter(generate_corpus(taxonomy, 1, master_seed=master_seed)))
+    cond = condition_set(record.atoms, world)
+    return cond, decode_parts(compose_target(cond, world), cond.k, taxonomy, world)
+
+
 class TestOracleGrader:
     def test_oracle_composite_passes_all(self, taxonomy, world):
-        records = list(generate_corpus(taxonomy, 10, master_seed=55))
-        grader = OracleGrader(taxonomy, world)
-        for record in records:
+        for record in generate_corpus(taxonomy, 10, master_seed=55):
             cond = condition_set(record.atoms, world)
-            target = compose_target(cond, world)
+            decoded = decode_parts(compose_target(cond, world), cond.k, taxonomy, world)
             for slot, atom in enumerate(cond.atoms):
-                questions = parteval_questions(atom)
-                ref = {"embedding": target, "k": cond.k, "slot": slot}
-                grade = parteval_grade(grader, ref, questions)
+                grade = parteval_grade(OracleGrader(), {"decoded": decoded, "slot": slot}, parteval_questions(atom))
                 assert grade.normalized == 1.0
 
     def test_wrong_expected_object_fails(self, taxonomy, world):
-        record = next(iter(generate_corpus(taxonomy, 1, master_seed=56)))
-        cond = condition_set(record.atoms, world)
-        target = compose_target(cond, world)
-        grader = OracleGrader(taxonomy, world)
+        cond, decoded = _decoded_exact(taxonomy, world, 56)
         atom = cond.atoms[0]
         wrong = parteval_questions(SemanticAtom(part=atom.part, subject="definitelywrongsubject", domain=atom.domain))
-        grade = parteval_grade(grader, {"embedding": target, "k": cond.k, "slot": 0}, wrong)
+        grade = parteval_grade(OracleGrader(), {"decoded": decoded, "slot": 0}, wrong)
         assert grade.verdicts[0] == 0  # object question
         assert grade.verdicts[1] == 1  # part question still matches
 
-    def test_decode_cache_reused(self, taxonomy, world):
-        record = next(iter(generate_corpus(taxonomy, 1, master_seed=58)))
-        cond = condition_set(record.atoms, world)
-        target = compose_target(cond, world)
-        grader = OracleGrader(taxonomy, world)
-        ref = {"embedding": target, "k": cond.k, "slot": 0}
-        question = parteval_questions(cond.atoms[0])[0]
-        grader.verdict(ref, question)
-        grader.verdict(ref, question)
-        assert len(grader._decode_cache) == 1
+    def test_reads_the_atom_at_its_slot(self, taxonomy, world):
+        cond, decoded = _decoded_exact(taxonomy, world, 58)
+        swapped = [decoded[1], decoded[0], *decoded[2:]]
+        for slot, atom in enumerate(cond.atoms[:2]):
+            other = swapped[slot]
+            grade = parteval_grade(OracleGrader(), {"decoded": swapped, "slot": slot}, parteval_questions(atom))
+            assert other.key != atom.key
+            assert grade.verdicts == [int(other.subject == atom.subject), int(other.part == atom.part)]
+
+    def test_grading_decodes_nothing(self, taxonomy, world, monkeypatch):
+        cond, decoded = _decoded_exact(taxonomy, world, 59)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle grader decoded")
+
+        monkeypatch.setattr("partgen.parteval.decode_parts", refuse)
+        monkeypatch.setattr("partgen.world.decode_parts", refuse)
+        jobs = [({"decoded": decoded, "slot": slot}, parteval_questions(atom)) for slot, atom in enumerate(cond.atoms)]
+        assert [g.normalized for g in parteval_grade_many(OracleGrader(), jobs)] == [1.0] * cond.k
 
 
 class TestGradeMany:
