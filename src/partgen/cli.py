@@ -172,10 +172,10 @@ def _subcommand_config(args) -> dict:
     return check_config({**PIPELINE_DEFAULTS, **{key: getattr(args, key) for key in flags}}, flags)
 
 
-def _parse_atom_spec(spec: str, taxonomy: Taxonomy) -> list[SemanticAtom]:
+def _parse_atom_spec(spec: str, world: WorldSpec) -> list[SemanticAtom]:
     """'head:lion,body:horse' -> atoms; the (part, subject) pair is unique
     within a taxonomy, so the domain is inferred."""
-    by_pair = {(a.part, a.subject): a for a in enumerate_atoms(taxonomy)}
+    by_pair = {a.key: a for a in world.atoms}
     atoms = []
     for chunk in spec.split(","):
         part, sep, subject = chunk.strip().partition(":")
@@ -264,9 +264,9 @@ def cmd_prior_train(args) -> int:
 def _sample_record_json(prompt_id, atoms, generated, target, decoded) -> dict:
     return {
         "prompt_id": prompt_id,
-        "atoms": [{"part": a.part, "subject": a.subject, "domain": a.domain} for a in atoms],
+        "atoms": [a.to_dict() for a in atoms],
         "cosine_to_oracle": float(generated @ target),
-        "decoded_atoms": [{"part": a.part, "subject": a.subject, "domain": a.domain} for a in decoded],
+        "decoded_atoms": [a.to_dict() for a in decoded],
     }
 
 
@@ -286,12 +286,12 @@ def cmd_prior_sample(args) -> int:
         atoms = records[args.prompt_id].atoms
         prompt_id = args.prompt_id
     else:
-        atoms = _parse_atom_spec(args.atoms, taxonomy)
+        atoms = _parse_atom_spec(args.atoms, world)
         prompt_id = None
     cond = condition_set(atoms, world)
     generated = _sample_batch(net, config, [cond], world.d)[0]
     target = compose_target(cond, world)
-    decoded = decode_parts(generated, cond.k, taxonomy, world)
+    decoded = decode_parts(generated, cond.k, world)
     text = json.dumps(_sample_record_json(prompt_id, atoms, generated, target, decoded))
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -299,26 +299,24 @@ def cmd_prior_sample(args) -> int:
     return 0
 
 
-def run_eval_stage(
-    net, config: dict, eval_records: list[HybridPrompt], taxonomy: Taxonomy, world: WorldSpec, out_dir: Path
-) -> dict[str, Path]:
+def run_eval_stage(net, config: dict, eval_records: list[HybridPrompt], world: WorldSpec, out_dir: Path) -> tuple[dict[str, Path], dict]:
     """Sample every eval condition set, score it, and write the report files.
 
-    Returns the artifact paths it wrote. Each sample is decoded once, and
-    the slot match, compositional accuracy (the summary's final_score) and
-    the oracle grader's PartEval verdicts all read those atoms; FID/KID
-    compare the generated batch to the oracle targets.
+    Returns (artifact paths written, the report's metrics). Each sample is
+    decoded once, and the slot match, compositional accuracy (the summary's
+    final_score) and the oracle grader's PartEval verdicts all read those
+    atoms; FID/KID compare the generated batch to the oracle targets.
     """
     conds = [condition_set(r.atoms, world) for r in eval_records]
     targets = np.stack([compose_target(c, world) for c in conds])
     generated = _sample_batch(net, config, conds, world.d)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    samples_path = out_dir / "samples.jsonl"
+    artifacts: dict[str, Path] = {"samples": out_dir / "samples.jsonl"}
     decoded_all = []
-    with open(samples_path, "w", encoding="utf-8") as fh:
+    with open(artifacts["samples"], "w", encoding="utf-8") as fh:
         for record, cond, gen, target in zip(eval_records, conds, generated, targets):
-            decoded = decode_parts(gen, cond.k, taxonomy, world)
+            decoded = decode_parts(gen, cond.k, world)
             decoded_all.append(decoded)
             fh.write(json.dumps(_sample_record_json(record.id, cond.atoms, gen, target, decoded)) + "\n")
 
@@ -363,7 +361,6 @@ def run_eval_stage(
         "parteval": parteval_overall,
         "parteval_by_k": {str(k): v for k, v in parteval_by_k.items()},
     }
-    artifacts: dict[str, Path] = {"samples": samples_path}
 
     report = {
         "metric": "eval_summary",
@@ -399,7 +396,7 @@ def run_eval_stage(
         ),
         encoding="utf-8",
     )
-    return artifacts
+    return artifacts, metrics
 
 
 def cmd_eval(args) -> int:
@@ -408,9 +405,8 @@ def cmd_eval(args) -> int:
     world = _world(taxonomy, config)
     net, _ = load_checkpoint(args.ckpt)
     eval_records = list(_corpus(taxonomy, config, held_out=True))
-    artifacts = run_eval_stage(net, config, eval_records, taxonomy, world, Path(args.out_dir))
-    report = load_report(artifacts["report"])
-    print(f"eval: {json.dumps(report['metrics'], sort_keys=True)}")
+    artifacts, metrics = run_eval_stage(net, config, eval_records, world, Path(args.out_dir))
+    print(f"eval: {json.dumps(metrics, sort_keys=True)}")
     print(f"report: {artifacts['report']}")
     return 0
 
@@ -453,7 +449,8 @@ def _run_pipeline(config: dict, out_dir: Path, compare_manifest: dict | None) ->
         result = _train_stage(config, dataset, artifacts["checkpoint"], artifacts["loss_curve"])
 
         stage = "eval"
-        artifacts.update(run_eval_stage(result.net, config, eval_records, taxonomy, world, out_dir))
+        eval_artifacts, metrics = run_eval_stage(result.net, config, eval_records, world, out_dir)
+        artifacts.update(eval_artifacts)
 
         stage = "manifest"
         seeds = {key: config[key] for key in ("master_seed", "eval_seed", "world_seed", "train_seed", "sample_seed")}
@@ -463,9 +460,8 @@ def _run_pipeline(config: dict, out_dir: Path, compare_manifest: dict | None) ->
         print(f"pipeline stage {stage!r} failed: {exc}", file=sys.stderr)
         return 1
 
-    report = load_report(out_dir / "report.json")
     print(f"pipeline complete: {out_dir}")
-    print(f"metrics: {json.dumps(report['metrics'], sort_keys=True)}")
+    print(f"metrics: {json.dumps(metrics, sort_keys=True)}")
 
     if compare_manifest is not None:
         recorded = compare_manifest["artifacts"]

@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the length-checked read
 that turns a short binary file into a ParseError."""
 
+import os
+
 
 class PartgenError(Exception):
     """Base class for all package-specific errors."""
@@ -56,12 +58,14 @@ class MalformedReport(PartgenError):
 
 def exact_reader(fh, path, kind: str):
     """read(n) on a binary file that returns exactly n bytes, or raises
-    ParseError naming the ``kind`` of file (checkpoint, dataset) as truncated."""
+    ParseError naming the ``kind`` of file (checkpoint, dataset) as truncated;
+    a request for more bytes than remain is refused before it is read."""
+    size = os.fstat(fh.fileno()).st_size
 
     def read(n: int) -> bytes:
-        data = fh.read(n)
-        if len(data) != n:
-            raise ParseError(f"{path}: truncated {kind}: wanted {n} bytes at offset {fh.tell() - len(data)}, got {len(data)}")
-        return data
+        offset = fh.tell()
+        if n > size - offset:
+            raise ParseError(f"{path}: truncated {kind}: wanted {n} bytes at offset {offset}, got {size - offset}")
+        return fh.read(n)
 
     return read

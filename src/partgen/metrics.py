@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NonConvergent, TooFewSamples
-from .taxonomy import SemanticAtom, Taxonomy
+from .taxonomy import SemanticAtom
 from .world import ConditionSet, WorldSpec, decode_parts
 
 _EIG_CLAMP = -1e-8
@@ -120,16 +120,16 @@ def slot_match(
     return fractions, float(np.mean(fractions)), {k: float(np.mean(group)) for k, group in sorted(by_k.items())}
 
 
-def _decode_and_match(samples, taxonomy: Taxonomy, world: WorldSpec):
+def _decode_and_match(samples, world: WorldSpec):
     conds = [cond for _, cond in samples]
-    return slot_match([decode_parts(generated, cond.k, taxonomy, world) for generated, cond in samples], conds)
+    return slot_match([decode_parts(generated, cond.k, world) for generated, cond in samples], conds)
 
 
-def compositional_accuracy(samples: Sequence[tuple[np.ndarray, ConditionSet]], taxonomy: Taxonomy, world: WorldSpec) -> float:
+def compositional_accuracy(samples: Sequence[tuple[np.ndarray, ConditionSet]], world: WorldSpec) -> float:
     """slot_match's mean over (generated, cond) pairs not yet decoded."""
-    return _decode_and_match(samples, taxonomy, world)[1]
+    return _decode_and_match(samples, world)[1]
 
 
-def compositional_accuracy_by_k(samples: Sequence[tuple[np.ndarray, ConditionSet]], taxonomy: Taxonomy, world: WorldSpec) -> dict[int, float]:
+def compositional_accuracy_by_k(samples: Sequence[tuple[np.ndarray, ConditionSet]], world: WorldSpec) -> dict[int, float]:
     """slot_match's per-k means over (generated, cond) pairs not yet decoded."""
-    return _decode_and_match(samples, taxonomy, world)[2]
+    return _decode_and_match(samples, world)[2]

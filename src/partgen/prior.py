@@ -34,10 +34,6 @@ def input_dim(d: int) -> int:
     return d + TIME_ENC_DIM + SLOT_COUNT * d + SLOT_COUNT
 
 
-def default_layer_dims(d: int) -> list[int]:
-    return [input_dim(d)] + DEFAULT_HIDDEN_DIMS + [d]
-
-
 # Linear beta schedule from 1e-4 to 0.02 over T = 1000 steps. ALPHA_BARS[t] is
 # alpha_bar(t) for t in 0..T: 1 at t = 0, then alpha_1, decaying strictly.
 DIFFUSION_STEPS = 1000

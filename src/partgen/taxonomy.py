@@ -48,6 +48,9 @@ class SemanticAtom:
     def key(self) -> tuple[str, str]:
         return (self.part, self.subject)
 
+    def to_dict(self) -> dict:
+        return {"part": self.part, "subject": self.subject, "domain": self.domain}
+
 
 @dataclasses.dataclass
 class PartEntry:
@@ -110,7 +113,7 @@ class HybridPrompt:
             "id": self.id,
             "prefix": self.prefix,
             "domain_mix": self.domain_mix,
-            "atoms": [{"part": a.part, "subject": a.subject, "domain": a.domain} for a in self.atoms],
+            "atoms": [a.to_dict() for a in self.atoms],
             "text": self.text,
             "seed": self.seed,
             "render": self.render.to_dict(),

@@ -72,7 +72,6 @@ class WorldSpec:
             raise ValidationError(f"embedding dimension must be >= 2, got {d}")
         self.world_seed = int(world_seed)
         self.d = int(d)
-        self.taxonomy = taxonomy
         self.atoms = enumerate_atoms(taxonomy)
         self.atom_index = {(a.domain, a.part, a.subject): i for i, a in enumerate(self.atoms)}
         self.rotations = [_rotation(self.world_seed, i, d) for i in range(SLOT_COUNT)]
@@ -245,8 +244,8 @@ def _joint_shortlist(world: WorldSpec, e: np.ndarray, est: list[int], k: int) ->
     return est
 
 
-def decode_parts(e: np.ndarray, k: int, taxonomy: Taxonomy, world: WorldSpec) -> list[SemanticAtom]:
-    """Recover the k atoms whose composition best explains ``e``.
+def decode_parts(e: np.ndarray, k: int, world: WorldSpec) -> list[SemanticAtom]:
+    """Recover the k atoms of ``world.atoms`` whose composition best explains ``e``.
 
     Slot i scores atoms by cosine(e, R_i e_a); ties resolve to the earlier
     atom in taxonomy enumeration order. The per-slot argmax only seeds the

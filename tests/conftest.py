@@ -12,21 +12,12 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from partgen.cli import main as cli_main
-from partgen.metrics import compositional_accuracy, compositional_accuracy_by_k
-from partgen.prior import TrainConfig, sample_diffusion_batch, train
+from partgen.cli import main as cli_main, run_eval_stage
+from partgen.prior import TrainConfig, train
 from partgen.taxonomy import Taxonomy, load_default_taxonomy, read_corpus
-from partgen.world import (
-    DEFAULT_DIM,
-    DEFAULT_WORLD_SEED,
-    WorldSpec,
-    compose_target,
-    condition_set,
-    load_dataset,
-)
+from partgen.world import DEFAULT_DIM, DEFAULT_WORLD_SEED, WorldSpec, load_dataset
 
 # acceptance criterion registry, printed once at the end of the run
 CRITERIA: dict[int, tuple[bool, str]] = {}
@@ -104,15 +95,13 @@ def pipeline_rerun(pipeline_run, tmp_path_factory) -> PipelineRun:
 class DiffusionEval:
     train_elapsed: float
     mean_cosine: float
-    comp_acc: float
-    comp_acc_by_k: dict[int, float]
-    losses: list[float]
 
 
 @pytest.fixture(scope="session")
-def diffusion_eval(pipeline_run, taxonomy, world) -> DiffusionEval:
-    """Diffusion objective trained on the same 10k-pair dataset and scored
-    on the same held-out condition sets as the flow run."""
+def diffusion_eval(pipeline_run, world, tmp_path_factory) -> DiffusionEval:
+    """Diffusion objective trained on the same 10k-pair dataset as the flow
+    run, then scored by the eval stage, with the flow run's config, on the
+    same held-out condition sets."""
     dataset = load_dataset(pipeline_run.out_dir / "dataset.bin", world)
     config = TrainConfig(objective="diffusion_prior", steps=20000, seed=42)
     start = time.monotonic()
@@ -120,15 +109,6 @@ def diffusion_eval(pipeline_run, taxonomy, world) -> DiffusionEval:
     train_elapsed = time.monotonic() - start
 
     eval_records = read_corpus(pipeline_run.out_dir / "eval_corpus.jsonl")
-    conds = [condition_set(r.atoms, world) for r in eval_records]
-    generated = sample_diffusion_batch(result.net, conds, world.d, n_steps=50, seed=7)
-    targets = np.stack([compose_target(c, world) for c in conds])
-    cosines = np.sum(generated * targets, axis=1)
-    paired = list(zip(generated, conds))
-    return DiffusionEval(
-        train_elapsed=train_elapsed,
-        mean_cosine=float(cosines.mean()),
-        comp_acc=compositional_accuracy(paired, taxonomy, world),
-        comp_acc_by_k=compositional_accuracy_by_k(paired, taxonomy, world),
-        losses=result.losses,
-    )
+    eval_config = {**pipeline_run.manifest["config"], "objective": "diffusion"}
+    _, metrics = run_eval_stage(result.net, eval_config, eval_records, world, tmp_path_factory.mktemp("diffusion_eval"))
+    return DiffusionEval(train_elapsed=train_elapsed, mean_cosine=metrics["mean_cosine"])

@@ -18,22 +18,24 @@ from conftest import record_criterion
 from partgen.hashing import fnv1a_64
 from partgen.metrics import (
     GaussianStats,
-    compositional_accuracy_by_k,
     fid,
     gaussian_stats,
     kid,
     mmd2_unbiased,
+    slot_match,
 )
 from partgen.nn import DenseNet, grad_check, load_checkpoint
 from partgen.parteval import GradeRecord, parteval_score
 from partgen.prior import (
-    default_layer_dims,
+    DEFAULT_HIDDEN_DIMS,
+    input_dim,
     make_diffusion_draws,
     make_flow_draws,
     objective_loss,
 )
 from partgen.taxonomy import (
     RenderConfig,
+    SemanticAtom,
     enumerate_atoms,
     generate_corpus,
     load_default_taxonomy,
@@ -106,7 +108,7 @@ def test_criterion_02_corpus_fidelity(taxonomy, tmp_path):
 def test_criterion_03_gradient_correctness(taxonomy, world):
     start = time.monotonic()
     batch = make_dataset(list(generate_corpus(taxonomy, 8, master_seed=71)), taxonomy, world)
-    net = DenseNet.init(default_layer_dims(world.d), seed=3)
+    net = DenseNet.init([input_dim(world.d)] + DEFAULT_HIDDEN_DIMS + [world.d], seed=3)
     flow_draws = make_flow_draws(np.random.default_rng(72), len(batch), world.d, cond_dropout=0.3)
     diff_draws = make_diffusion_draws(np.random.default_rng(73), len(batch), world.d, 0.3)
 
@@ -148,15 +150,14 @@ def test_criterion_04_oracle_recovery(pipeline_run, diffusion_eval):
     assert ok, detail
 
 
-def test_criterion_05_complexity_consistency(pipeline_run, taxonomy, world):
-    from partgen.prior import sample_flow_batch
-
+def test_criterion_05_complexity_consistency(pipeline_run, world):
+    # scores the atoms the flow run's eval stage decoded into samples.jsonl
     start = time.monotonic()
-    net, _ = load_checkpoint(pipeline_run.out_dir / "checkpoint.bin")
     eval_records = read_corpus(pipeline_run.out_dir / "eval_corpus.jsonl")
     conds = [condition_set(r.atoms, world) for r in eval_records]
-    generated = sample_flow_batch(net, conds, world.d, n_steps=50, seed=7)
-    by_k = compositional_accuracy_by_k(list(zip(generated, conds)), taxonomy, world)
+    lines = (pipeline_run.out_dir / "samples.jsonl").read_text(encoding="utf-8").splitlines()
+    decoded = [[SemanticAtom(**atom) for atom in json.loads(line)["decoded_atoms"]] for line in lines]
+    _, _, by_k = slot_match(decoded, conds)
     elapsed = time.monotonic() - start
     gap = abs(by_k.get(4, 0.0) - by_k.get(2, 0.0))
     ok = 2 in by_k and 4 in by_k and gap <= 0.10 and elapsed <= 300.0
@@ -282,7 +283,7 @@ def test_criterion_10_oracle_net_zero_loss(taxonomy, world):
     start = time.monotonic()
     batch = make_dataset(list(generate_corpus(taxonomy, 32, master_seed=111)), taxonomy, world)
     targets = np.stack([t for _, t in batch])
-    net = DenseNet.init(default_layer_dims(world.d), seed=6)
+    net = DenseNet.init([input_dim(world.d)] + DEFAULT_HIDDEN_DIMS + [world.d], seed=6)
 
     flow_draws = make_flow_draws(np.random.default_rng(112), len(batch), world.d, 0.0)
     flow_oracle = targets - flow_draws.x0

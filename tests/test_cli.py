@@ -1,6 +1,11 @@
 """Command-line surface: help text, exit codes, config handling."""
 
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +17,7 @@ from partgen.cli import (
     parse_config_file,
     resolve_pipeline_config,
 )
-from partgen.nn import DenseNet, save_checkpoint
+from partgen.nn import _ACTIVATION_TAG, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, DenseNet, save_checkpoint
 from partgen.prior import input_dim
 from partgen.report import write_report
 from partgen.taxonomy import default_taxonomy_path, generate_corpus
@@ -107,6 +112,28 @@ class TestExitCodes:
         assert main(["prior", "sample", "--ckpt", str(ckpt), "--atoms", "head:lion"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "truncated checkpoint" in err[0]
+
+    @pytest.mark.parametrize(
+        "sizes", [struct.pack("<3I", 2, 100000, 100000), struct.pack("<I", 1 << 31)], ids=["layers-100000x100000", "n-dims-2^31"]
+    )
+    def test_oversized_checkpoint_header_is_one_line(self, tmp_path, sizes):
+        # a 64-byte file whose header claims gigabytes; the child's address
+        # space is capped, so reading what the header claims fails this test
+        # instead of exhausting the machine
+        ckpt = tmp_path / "net.bin"
+        ckpt.write_bytes((CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) + _ACTIVATION_TAG + sizes).ljust(64, b"\0"))
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from partgen.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), OPENBLAS_NUM_THREADS="1")
+        argv = ["prior", "sample", "--ckpt", str(ckpt), "--atoms", "head:lion,body:horse"]
+        proc = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True, text=True, timeout=120)
+        err = proc.stderr.strip().splitlines()
+        assert proc.returncode == 1 and len(err) == 1 and "truncated checkpoint" in err[0], proc.stderr
 
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

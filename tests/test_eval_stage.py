@@ -1,5 +1,6 @@
-"""The eval stage decodes each generated sample once, and every score it
-reports equals the score of a fresh decode of the same sample."""
+"""The eval stage decodes each generated sample once, every score it
+reports equals the score of a fresh decode of the same sample, and
+`partgen eval` writes the same files as the pipeline's eval stage."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import partgen.cli
-from partgen.metrics import compositional_accuracy, compositional_accuracy_by_k
+from partgen.metrics import slot_match
 from partgen.taxonomy import read_corpus
 from partgen.world import condition_set, decode_parts
 
@@ -28,8 +29,8 @@ def short_run(tmp_path_factory):
     decodes, gradings = [], []
     real_decode, real_grade_many = partgen.cli.decode_parts, partgen.cli.parteval_grade_many
 
-    def spy_decode(e, k, taxonomy, world):
-        decoded = real_decode(e, k, taxonomy, world)
+    def spy_decode(e, k, world):
+        decoded = real_decode(e, k, world)
         decodes.append((np.array(e), k, decoded))
         return decoded
 
@@ -55,11 +56,11 @@ def short_run(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def fresh(short_run, taxonomy, world):
+def fresh(short_run, world):
     """Per eval sample: (generated, cond, a fresh decode of generated)."""
     out_dir, decodes, _, _ = short_run
     conds = [condition_set(r.atoms, world) for r in read_corpus(out_dir / "eval_corpus.jsonl")]
-    return [(e, cond, decode_parts(e, cond.k, taxonomy, world)) for (e, _, _), cond in zip(decodes, conds)]
+    return [(e, cond, decode_parts(e, cond.k, world)) for (e, _, _), cond in zip(decodes, conds)]
 
 
 def test_each_sample_is_decoded_once(short_run, world):
@@ -69,12 +70,12 @@ def test_each_sample_is_decoded_once(short_run, world):
     assert [k for _, k, _ in decodes] == [cond.k for cond in conds]
 
 
-def test_compositional_accuracy_equals_the_decoding_scorers(short_run, fresh, taxonomy, world):
+def test_compositional_accuracy_equals_the_decoding_scorers(short_run, fresh):
     report = short_run[3]
-    paired = [(e, cond) for e, cond, _ in fresh]
-    assert report["metrics"]["compositional_accuracy"] == compositional_accuracy(paired, taxonomy, world)
+    _, accuracy, accuracy_by_k = slot_match([decoded for _, _, decoded in fresh], [cond for _, cond, _ in fresh])
+    assert report["metrics"]["compositional_accuracy"] == accuracy
     by_k = {int(k): v for k, v in report["metrics"]["compositional_accuracy_by_k"].items()}
-    assert by_k == compositional_accuracy_by_k(paired, taxonomy, world)
+    assert by_k == accuracy_by_k
     assert report["final_score"] == report["metrics"]["compositional_accuracy"]
 
 
@@ -96,3 +97,14 @@ def test_parteval_verdicts_compare_the_decoded_atom(short_run, fresh):
         assert ref["decoded"][ref["slot"]] == atom
         expected = [int((atom.subject if q.attribute == "object" else atom.part) == q.expected) for q in questions]
         assert grade.verdicts == expected
+
+
+def test_eval_writes_the_pipeline_eval_files(short_run, tmp_path):
+    out_dir = short_run[0]
+    eval_dir = tmp_path / "eval"
+    argv = ["eval", "--ckpt", str(out_dir / "checkpoint.bin"), "--n-eval", str(N_EVAL), "--out-dir", str(eval_dir)]
+    assert partgen.cli.main(argv) == 0
+    names = sorted(path.name for path in eval_dir.iterdir())
+    assert names == ["metrics.svg", "parteval_2part.json", "parteval_3part.json", "parteval_4part.json", "report.json", "samples.jsonl"]
+    for name in names:
+        assert (eval_dir / name).read_bytes() == (out_dir / name).read_bytes(), name

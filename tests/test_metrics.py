@@ -160,8 +160,8 @@ class TestCompositionalAccuracy:
         records = list(generate_corpus(taxonomy, 40, master_seed=41))
         conds = [condition_set(r.atoms, world) for r in records]
         samples = [(compose_target(c, world), c) for c in conds]
-        assert compositional_accuracy(samples, taxonomy, world) == 1.0
-        by_k = compositional_accuracy_by_k(samples, taxonomy, world)
+        assert compositional_accuracy(samples, world) == 1.0
+        by_k = compositional_accuracy_by_k(samples, world)
         assert set(by_k) <= {2, 3, 4}
         assert all(v == 1.0 for v in by_k.values())
 
@@ -173,8 +173,8 @@ class TestCompositionalAccuracy:
         for c in conds:
             v = rng.standard_normal(world.d)
             samples.append((v / np.linalg.norm(v), c))
-        assert compositional_accuracy(samples, taxonomy, world) < 0.2
+        assert compositional_accuracy(samples, world) < 0.2
 
-    def test_empty_input_rejected(self, taxonomy, world):
+    def test_empty_input_rejected(self, world):
         with pytest.raises(ValueError):
-            compositional_accuracy([], taxonomy, world)
+            compositional_accuracy([], world)

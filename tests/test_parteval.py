@@ -108,14 +108,14 @@ def _decoded_exact(taxonomy, world, master_seed):
     """(cond, decoded atoms) of the exact composite of one corpus record."""
     record = next(iter(generate_corpus(taxonomy, 1, master_seed=master_seed)))
     cond = condition_set(record.atoms, world)
-    return cond, decode_parts(compose_target(cond, world), cond.k, taxonomy, world)
+    return cond, decode_parts(compose_target(cond, world), cond.k, world)
 
 
 class TestOracleGrader:
     def test_oracle_composite_passes_all(self, taxonomy, world):
         for record in generate_corpus(taxonomy, 10, master_seed=55):
             cond = condition_set(record.atoms, world)
-            decoded = decode_parts(compose_target(cond, world), cond.k, taxonomy, world)
+            decoded = decode_parts(compose_target(cond, world), cond.k, world)
             for slot, atom in enumerate(cond.atoms):
                 grade = parteval_grade(OracleGrader(), {"decoded": decoded, "slot": slot}, parteval_questions(atom))
                 assert grade.normalized == 1.0

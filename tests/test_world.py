@@ -148,7 +148,7 @@ class TestDecoding:
         sets, _ = _sets(taxonomy, world, 2000, seed=2)
         failures = 0
         for cond in sets:
-            decoded = decode_parts(compose_target(cond, world), cond.k, taxonomy, world)
+            decoded = decode_parts(compose_target(cond, world), cond.k, world)
             failures += [a.key for a in decoded] != [a.key for a in cond.atoms]
         assert {cond.k for cond in sets} == {2, 3, 4}
         assert failures == 0
@@ -161,18 +161,18 @@ class TestDecoding:
         for cond in sets:
             noisy = compose_target(cond, world) + 0.01 * rng.standard_normal(world.d)
             noisy /= np.linalg.norm(noisy)
-            decoded = decode_parts(noisy, cond.k, taxonomy, world)
+            decoded = decode_parts(noisy, cond.k, world)
             correct += sum(d.key == a.key for d, a in zip(decoded, cond.atoms))
             total += cond.k
         assert correct / total == 1.0
 
-    def test_decode_rejects_bad_k(self, taxonomy, world):
+    def test_decode_rejects_bad_k(self, world):
         with pytest.raises(ValueError):
-            decode_parts(np.zeros(world.d), 5, taxonomy, world)
+            decode_parts(np.zeros(world.d), 5, world)
 
-    def test_decode_checks_dimension(self, taxonomy, world):
+    def test_decode_checks_dimension(self, world):
         with pytest.raises(DimensionMismatch):
-            decode_parts(np.zeros(world.d + 1), 2, taxonomy, world)
+            decode_parts(np.zeros(world.d + 1), 2, world)
 
 
 class TestPairSweep:
