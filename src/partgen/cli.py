@@ -21,7 +21,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .errors import PartgenError
+from .errors import PartgenError, decode_utf8
 from .hashing import combine_seed
 from .manifest import build_manifest, load_manifest, verify_artifacts, write_manifest
 from .metrics import fid, gaussian_stats, kid, slot_match
@@ -139,7 +139,7 @@ def check_config(values: dict, flags: dict[str, str] | None = None) -> dict:
 def parse_config_file(path: Path) -> dict[str, str]:
     """key=value lines; '#' comments and blank lines ignored."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(decode_utf8(path.read_bytes(), path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the length-checked read
-that turns a short binary file into a ParseError."""
+"""Exception types shared across the package, the length-checked read that
+turns a short binary file into a ParseError, and the UTF-8 decode that turns
+a bad byte in a text file into one."""
 
 import os
 
@@ -54,6 +55,16 @@ class MixedScale(PartgenError):
 
 class MalformedReport(PartgenError):
     """A report file is missing required fields or conflicts with others."""
+
+
+def decode_utf8(data: bytes, path, offset: int = 0) -> str:
+    """``data``, read from ``path`` starting at byte ``offset``, as UTF-8
+    text; a byte that is not UTF-8 is a ParseError naming the path and the
+    byte's offset in the file."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {offset + exc.start}") from None
 
 
 def exact_reader(fh, path, kind: str):

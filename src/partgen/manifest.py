@@ -9,7 +9,7 @@ import json
 from pathlib import Path
 
 from . import __version__
-from .errors import ParseError
+from .errors import ParseError, decode_utf8
 
 
 def sha256_file(path: str | Path) -> str:
@@ -43,7 +43,7 @@ def write_manifest(manifest: dict, path: str | Path) -> None:
 
 def load_manifest(path: str | Path) -> dict:
     try:
-        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+        manifest = json.loads(decode_utf8(Path(path).read_bytes(), path))
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot load manifest {path}: {exc}") from exc
     if not isinstance(manifest, dict):

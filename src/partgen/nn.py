@@ -4,7 +4,8 @@ Parameters are stored float32. The compute dtype is a parameter: training
 uses float32 matmuls for speed, while gradient checking upcasts everything
 to float64 so central differences are limited by truncation error rather
 than rounding. Scalar reductions (losses, finite differences) always
-accumulate in float64.
+accumulate in float64. Adam updates in float32, in place, like the
+parameters and its moments, whatever the type of the learning rate.
 """
 
 from __future__ import annotations
@@ -75,8 +76,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     branch-free form gives the two-branch form's bits. min(z, -z) rather
     than -abs(z) keeps the sign of a NaN input.
     """
-    e = np.exp(np.minimum(z, -z))
-    return np.maximum(e, z >= 0) / (1.0 + e)
+    e = np.negative(z)
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    s = np.maximum(e, z >= 0)
+    e += 1.0
+    s /= e
+    return s
 
 
 def forward(net: DenseNet, x: np.ndarray, dtype: type = np.float32) -> tuple[np.ndarray, Tape]:
@@ -117,8 +123,13 @@ def backward(net: DenseNet, tape: Tape, dloss_dy: np.ndarray) -> Gradients:
             dx = delta @ net.weights[i].astype(dtype, copy=False)
             z = tape.pre_activations[i - 1]
             s = tape.sigmoids[i - 1]
-            # d/dz of z*sigmoid(z)
-            delta = dx * (s * (1.0 + z * (1.0 - s)))
+            # d/dz of z*sigmoid(z): s * (1 + z * (1 - s)), built in one buffer
+            ds = np.subtract(1.0, s)
+            ds *= z
+            ds += 1.0
+            ds *= s
+            dx *= ds
+            delta = dx
     return Gradients(weights=grad_w, biases=grad_b)
 
 
@@ -146,29 +157,37 @@ class AdamState:
 
 
 def adam_step(net: DenseNet, grads: Gradients, state: AdamState, lr: float | None = None) -> None:
-    """One bias-corrected Adam update in place. Rejects non-finite gradients."""
+    """One bias-corrected Adam update in place, in float32 like the
+    parameters: p -= a m / (sqrt(v b) + eps) with a = lr / c1 and b = 1 / c2
+    rounded to float32 once. Rejects non-finite gradients."""
     if grads.any_nonfinite():
         raise NonFiniteGradient(f"non-finite gradient at optimizer step {state.step + 1}")
     if lr is None:
         lr = state.lr
     state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
+    f32 = np.float32
+    a = f32(lr / (1.0 - state.beta1 ** state.step))
+    b = f32(1.0 / (1.0 - state.beta2 ** state.step))
+    beta1, beta2, eps = f32(state.beta1), f32(state.beta2), f32(state.eps)
+    one_minus_beta1, one_minus_beta2 = f32(1.0 - state.beta1), f32(1.0 - state.beta2)
     for params, gs, ms, vs in (
         (net.weights, grads.weights, state.m_weights, state.v_weights),
         (net.biases, grads.biases, state.m_biases, state.v_biases),
     ):
         for p, g, m, v in zip(params, gs, ms, vs):
-            g = g.astype(np.float32, copy=False)
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            # A numpy-float64 lr (the cosine schedule's) promotes the update
-            # to float64; it is rounded to float32 only for the subtraction.
-            upd = lr * (m / c1)
-            upd /= np.sqrt(v / c2) + state.eps
-            p -= upd.astype(np.float32, copy=False)
+            g = g.astype(f32, copy=False)
+            buf = np.multiply(one_minus_beta1, g)
+            m *= beta1
+            m += buf
+            np.multiply(one_minus_beta2, g, out=buf)
+            buf *= g
+            v *= beta2
+            v += buf
+            np.multiply(v, b, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += eps
+            np.divide(np.multiply(a, m), buf, out=buf)
+            p -= buf
 
 
 def grad_check(
@@ -251,6 +270,8 @@ def load_checkpoint(path: str | Path) -> tuple[DenseNet, AdamState | None]:
         if tag != _ACTIVATION_TAG:
             raise ParseError(f"{path}: unknown activation tag {tag!r}")
         (n_dims,) = struct.unpack("<I", read(4))
+        if n_dims < 2:
+            raise ParseError(f"{path}: a checkpoint needs at least 2 layer dims, got {n_dims}")
         dims = list(struct.unpack(f"<{n_dims}I", read(4 * n_dims)))
 
         def read_f32(shape: tuple[int, ...]) -> np.ndarray:

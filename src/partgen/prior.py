@@ -58,8 +58,18 @@ def condition_features(conds: Sequence[ConditionSet], d: int) -> tuple[np.ndarra
     return blocks, masks
 
 
-def build_inputs(states: np.ndarray, taus: np.ndarray, blocks: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    return np.concatenate([states, time_encoding(taus), blocks, masks], axis=1)
+def build_inputs(
+    states: np.ndarray, taus: np.ndarray, blocks: np.ndarray, masks: np.ndarray, dtype: type = np.float64
+) -> np.ndarray:
+    """State, time encoding, slot blocks and masks side by side in one
+    ``dtype`` array; each float64 piece is rounded to ``dtype`` once."""
+    d = states.shape[1]
+    inputs = np.empty((states.shape[0], input_dim(d)), dtype=dtype)
+    inputs[:, :d] = states
+    inputs[:, d:d + TIME_ENC_DIM] = time_encoding(taus)
+    inputs[:, d + TIME_ENC_DIM:-SLOT_COUNT] = blocks
+    inputs[:, -SLOT_COUNT:] = masks
+    return inputs
 
 
 def q_sample(e: np.ndarray, t: int | np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -100,30 +110,29 @@ def make_diffusion_draws(rng: np.random.Generator, batch_size: int, d: int, cond
     )
 
 
-def _apply_dropout(blocks: np.ndarray, masks: np.ndarray, drop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    blocks = blocks.copy()
-    masks = masks.copy()
-    blocks[drop] = 0.0
-    masks[drop] = 0.0
-    return blocks, masks
+def _drop_conditions(inputs: np.ndarray, d: int, drop: np.ndarray) -> np.ndarray:
+    """Zero the slot blocks and mask of the dropped rows, in place."""
+    inputs[drop, d + TIME_ENC_DIM:] = 0.0
+    return inputs
 
 
-def _flow_pairs(targets, blocks, masks, draws: FlowDraws) -> tuple[np.ndarray, np.ndarray]:
+def _flow_pairs(targets, blocks, masks, draws: FlowDraws, dtype: type) -> tuple[np.ndarray, np.ndarray]:
     """Inputs at x_t = (1 - t) x0 + t e and the straight-path velocity e - x0."""
-    blocks, masks = _apply_dropout(blocks, masks, draws.drop)
     x_t = (1.0 - draws.t)[:, None] * draws.x0 + draws.t[:, None] * targets
-    return build_inputs(x_t, FLOW_TIME_SCALE * draws.t, blocks, masks), targets - draws.x0
+    inputs = build_inputs(x_t, FLOW_TIME_SCALE * draws.t, blocks, masks, dtype)
+    return _drop_conditions(inputs, targets.shape[1], draws.drop), targets - draws.x0
 
 
-def _diffusion_pairs(targets, blocks, masks, draws: DiffusionDraws) -> tuple[np.ndarray, np.ndarray]:
+def _diffusion_pairs(targets, blocks, masks, draws: DiffusionDraws, dtype: type) -> tuple[np.ndarray, np.ndarray]:
     """Inputs at the noised e_t and the clean composite e itself."""
-    blocks, masks = _apply_dropout(blocks, masks, draws.drop)
     e_t = q_sample(targets, draws.t, draws.eps)
-    return build_inputs(e_t, draws.t.astype(np.float64), blocks, masks), targets
+    inputs = build_inputs(e_t, draws.t.astype(np.float64), blocks, masks, dtype)
+    return _drop_conditions(inputs, targets.shape[1], draws.drop), targets
 
 
 # objective name -> (draw maker (rng, batch size, d, cond_dropout),
-# (targets, blocks, masks, draws) -> (network inputs, regression targets))
+# (targets, blocks, masks, draws, dtype) -> (network inputs in dtype,
+# regression targets))
 _OBJECTIVES = {
     "rectified_flow": (make_flow_draws, _flow_pairs),
     "diffusion_prior": (make_diffusion_draws, _diffusion_pairs),
@@ -176,7 +185,7 @@ def objective_loss(
     targets = np.stack([target for _, target in batch])
     blocks, masks = condition_features([cond for cond, _ in batch], targets.shape[1])
     _, pairs = _OBJECTIVES[objective]
-    inputs, reg_targets = pairs(targets, blocks, masks, draws)
+    inputs, reg_targets = pairs(targets, blocks, masks, draws, dtype)
     return _regression_loss(net, inputs, reg_targets, want_grads, predictor, dtype)
 
 
@@ -227,7 +236,7 @@ def train(config: TrainConfig, dataset: Sequence[tuple[ConditionSet, np.ndarray]
     for step in range(1, config.steps + 1):
         idx = rng.integers(0, len(dataset), size=config.batch_size)
         draws = make_draws(rng, config.batch_size, d, config.cond_dropout)
-        inputs, reg_targets = pairs(targets[idx], blocks[idx], masks[idx], draws)
+        inputs, reg_targets = pairs(targets[idx], blocks[idx], masks[idx], draws, np.float32)
         try:
             loss, grads = _regression_loss(net, inputs, reg_targets, True, None, np.float32)
         except NonFiniteLoss as exc:

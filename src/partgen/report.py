@@ -12,7 +12,7 @@ from html import escape
 from pathlib import Path
 from typing import Sequence
 
-from .errors import MalformedReport
+from .errors import MalformedReport, decode_utf8
 from .taxonomy import MAX_ATOMS_PER_PROMPT, MIN_ATOMS_PER_PROMPT
 
 REQUIRED_REPORT_FIELDS = ("metric", "per_sample", "final_score")
@@ -27,7 +27,7 @@ def write_report(path: str | Path, report: dict) -> None:
 
 def load_report(path: str | Path) -> dict:
     try:
-        report = json.loads(Path(path).read_text(encoding="utf-8"))
+        report = json.loads(decode_utf8(Path(path).read_bytes(), path))
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedReport(f"cannot load report {path}: {exc}") from exc
     if not isinstance(report, dict):

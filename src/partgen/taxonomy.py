@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InsufficientAtoms, ParseError, ValidationError
+from .errors import InsufficientAtoms, ParseError, ValidationError, decode_utf8
 from .hashing import combine_seed, derive_seed
 
 DOMAIN_NAMES = ("creature", "vehicle", "furniture", "plant", "electronics", "instrument")
@@ -189,10 +189,10 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
     """Parse and validate a taxonomy file."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read taxonomy file {path}: {exc}") from exc
-    taxonomy = parse_taxonomy(text, source=str(path))
+    taxonomy = parse_taxonomy(decode_utf8(data, path), source=str(path))
     validate(taxonomy)
     return taxonomy
 
@@ -329,12 +329,14 @@ def read_corpus(path: str | Path) -> list[HybridPrompt]:
     records = []
     atoms: dict[tuple[str, str, str], SemanticAtom] = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise ParseError(f"cannot read corpus file {path}: {exc}") from exc
     with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+        offset = 0
+        for lineno, raw in enumerate(fh, start=1):
+            line = decode_utf8(raw, path, offset).strip()
+            offset += len(raw)
             if not line:
                 continue
             try:

@@ -135,6 +135,17 @@ class TestExitCodes:
         err = proc.stderr.strip().splitlines()
         assert proc.returncode == 1 and len(err) == 1 and "truncated checkpoint" in err[0], proc.stderr
 
+    @pytest.mark.parametrize("dims", [[], [input_dim(DEFAULT_DIM)]], ids=["n-dims-0", "n-dims-1"])
+    def test_checkpoint_with_fewer_than_two_dims_is_one_line(self, tmp_path, capsys, dims):
+        ckpt = tmp_path / "net.bin"
+        header = CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) + _ACTIVATION_TAG
+        ckpt.write_bytes(header + struct.pack(f"<I{len(dims)}I", len(dims), *dims) + struct.pack("<B", 0))
+        out = tmp_path / "s.json"
+        assert main(["prior", "sample", "--ckpt", str(ckpt), "--atoms", "head:lion,body:horse", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(ckpt) in err[0] and f"at least 2 layer dims, got {len(dims)}" in err[0], err
+        assert not out.exists()
+
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["corpus", "gen", "--does-not-exist", "1"])
@@ -401,6 +412,31 @@ class TestMalformedInput:
         assert main([arg.format(**paths) for arg in argv]) == code
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and text in err[0], err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pipeline", "run", "--config", "{bad}", "--out", "{out}"],
+            ["pipeline", "verify", "--manifest", "{bad}"],
+            ["pipeline", "rerun", "--manifest", "{bad}", "--out", "{out}"],
+            ["report", "{bad}", "--out-csv", "{out}", "--out-svg", "{out}.svg"],
+            ["taxonomy", "validate", "{bad}"],
+            ["corpus", "gen", "--taxonomy", "{bad}", "--n", "5", "--out", "{out}"],
+            ["prior", "train", "--corpus", "{bad}", "--out", "{out}", "--steps", "1"],
+            ["prior", "sample", "--ckpt", "{ckpt}", "--corpus", "{bad}", "--prompt-id", "0", "--out", "{out}"],
+        ],
+        ids=["run-config", "verify-manifest", "rerun-manifest", "report", "taxonomy-validate", "corpus-gen-taxonomy",
+             "prior-train-corpus", "prior-sample-corpus"],
+    )
+    def test_non_utf8_text_is_one_line(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff")
+        paths = {"bad": str(bad), "out": str(tmp_path / "out"), "ckpt": str(_tiny_checkpoint(tmp_path))}
+        before = sorted(tmp_path.rglob("*"))
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"{bad}: not UTF-8 text: byte 0xff at offset 0" in err[0], err
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("command", ["prior-sample", "eval"])

@@ -38,22 +38,49 @@ def _reference_sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _reference_adam_step(net: DenseNet, grads, state: AdamState, lr) -> None:
-    """Adam with a fresh array per intermediate: the reference the in-place
-    update must match bit for bit."""
+    """Float32 Adam with a fresh array per intermediate: the reference the
+    in-place update must match bit for bit."""
     state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
+    f32 = np.float32
+    a = f32(lr / (1.0 - state.beta1 ** state.step))
+    b = f32(1.0 / (1.0 - state.beta2 ** state.step))
+    beta1, beta2, eps = f32(state.beta1), f32(state.beta2), f32(state.eps)
     for params, gs, ms, vs in (
         (net.weights, grads.weights, state.m_weights, state.v_weights),
         (net.biases, grads.biases, state.m_biases, state.v_biases),
     ):
         for i in range(len(params)):
             g = gs[i].astype(np.float32)
-            ms[i] = state.beta1 * ms[i] + (1.0 - state.beta1) * g
-            vs[i] = state.beta2 * vs[i] + (1.0 - state.beta2) * g * g
-            m_hat = ms[i] / c1
-            v_hat = vs[i] / c2
-            params[i] -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(np.float32)
+            ms[i] = beta1 * ms[i] + f32(1.0 - state.beta1) * g
+            vs[i] = beta2 * vs[i] + f32(1.0 - state.beta2) * g * g
+            params[i] -= a * ms[i] / (np.sqrt(vs[i] * b) + eps)
+
+
+def _reference_forward_backward(net: DenseNet, x: np.ndarray, dy: np.ndarray, dtype):
+    """forward then backward with a fresh array per intermediate and the
+    two-branch sigmoid: the reference the in-place passes must match bit
+    for bit. Returns the output, the pre-activations, the sigmoids and the
+    gradients."""
+    h = x.astype(dtype)
+    zs, sigmoids, hs = [], [], [h]
+    for i in range(net.n_layers):
+        z = h @ net.weights[i].T.astype(dtype) + net.biases[i].astype(dtype)
+        zs.append(z)
+        h = z
+        if i < net.n_layers - 1:
+            sigmoids.append(_reference_sigmoid(z))
+            h = z * sigmoids[-1]
+        hs.append(h)
+    delta = dy.astype(dtype)
+    grad_w, grad_b = [None] * net.n_layers, [None] * net.n_layers
+    for i in range(net.n_layers - 1, -1, -1):
+        grad_w[i] = delta.T @ hs[i]
+        grad_b[i] = delta.sum(axis=0)
+        if i > 0:
+            dx = delta @ net.weights[i].astype(dtype)
+            z, s = zs[i - 1], sigmoids[i - 1]
+            delta = dx * (s * (1.0 + z * (1.0 - s)))
+    return h, zs, sigmoids, grad_w + grad_b
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -99,6 +126,26 @@ class TestForward:
             assert got.dtype == dtype
             assert np.array_equal(_bits(got), _bits(_reference_sigmoid(part)))
         assert np.array_equal(_bits(_sigmoid(z.reshape(-1, 5)[:, 1:4])), _bits(_reference_sigmoid(z.reshape(-1, 5)[:, 1:4])))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_backward_match_allocating_reference_bitwise(self, dtype):
+        net = DenseNet.init([6, 32, 32, 4], seed=3)
+        rng = np.random.default_rng(10)
+        for w in net.weights:
+            w *= 4.0  # reach both sigmoid branches and saturate some units
+        for b in net.biases:
+            b[:] = rng.standard_normal(b.shape).astype(np.float32)
+        x = 3.0 * rng.standard_normal((37, 6))
+        dy = rng.standard_normal((37, 4))
+        y, tape = forward(net, x, dtype=dtype)
+        grads = backward(net, tape, dy.astype(dtype))
+        ref_y, ref_zs, ref_sigmoids, ref_grads = _reference_forward_backward(net, x, dy, dtype)
+        pairs = [(y, ref_y)] + list(zip(tape.pre_activations, ref_zs)) + list(zip(tape.sigmoids, ref_sigmoids))
+        pairs += list(zip(grads.weights + grads.biases, ref_grads))
+        assert len(pairs) == 1 + 3 + 2 + 6
+        for got, want in pairs:
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(_bits(got), _bits(want))
 
     def test_dimension_mismatch(self, small_net):
         with pytest.raises(DimensionMismatch):
@@ -173,8 +220,8 @@ class TestAdam:
 
     @pytest.mark.parametrize("lr_type", [float, np.float64])
     def test_matches_allocating_reference_bitwise(self, small_net, lr_type):
-        # the cosine schedule passes lr as np.float64, which promotes the
-        # update to float64 before it is rounded for the subtraction
+        # the cosine schedule passes lr as np.float64; lr / c1 is rounded to
+        # float32 once, so either type gives a float32 update
         net, ref_net = small_net, copy.deepcopy(small_net)
         state, ref_state = AdamState.init(net), AdamState.init(ref_net)
         rng = np.random.default_rng(8)

@@ -159,6 +159,41 @@ class TestLosses:
         inputs = seen["inputs"]
         assert np.all(inputs[0, world.d + TIME_ENC_DIM:] == 0.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_network_input_is_the_concatenated_layout_rounded_once(self, small_batch, world, objective, dtype):
+        # the pairs write each float64 piece straight into one dtype array;
+        # the reference concatenates in float64, zeroes the dropped rows'
+        # slots and masks on copies, then casts
+        targets = np.stack([t for _, t in small_batch])
+        blocks, masks = condition_features([c for c, _ in small_batch], world.d)
+        rng = np.random.default_rng(12)
+        make_draws = make_flow_draws if objective == "rectified_flow" else make_diffusion_draws
+        draws = make_draws(rng, len(small_batch), world.d, 0.5)
+        assert 0 < draws.drop.sum() < len(small_batch)
+        if objective == "rectified_flow":
+            states = (1.0 - draws.t)[:, None] * draws.x0 + draws.t[:, None] * targets
+            taus = FLOW_TIME_SCALE * draws.t
+        else:
+            states = q_sample(targets, draws.t, draws.eps)
+            taus = draws.t.astype(np.float64)
+        kept_blocks, kept_masks = blocks.copy(), masks.copy()
+        kept_blocks[draws.drop] = 0.0
+        kept_masks[draws.drop] = 0.0
+        layout = np.concatenate([states, time_encoding(taus), kept_blocks, kept_masks], axis=1)
+        assert np.array_equal(build_inputs(states, taus, kept_blocks, kept_masks).view(np.uint64), layout.view(np.uint64))
+        seen = {}
+
+        def spy(inputs):
+            seen["inputs"] = inputs.copy()
+            return targets
+
+        objective_loss(objective, _zero_net(world.d), small_batch, draws=draws, want_grads=False, predictor=spy, dtype=dtype)
+        want = layout.astype(dtype)
+        got = seen["inputs"]
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
     def test_nonfinite_loss_raises(self, small_batch, world):
         draws = make_flow_draws(np.random.default_rng(6), len(small_batch), world.d, 0.0)
         bad = lambda inputs: np.full((len(small_batch), world.d), np.nan)
@@ -216,15 +251,15 @@ class TestTrainLoop:
         assert 0 < draws.drop.sum() < config.batch_size
         assert result.losses[0] == loss
 
-    # sha256 over losses, weights, biases and Adam m/v, taken on the code
-    # from before train called the loss functions' objective path (x86-64,
-    # numpy 2.4.6, OpenBLAS 0.3.31); another BLAS may round float32
-    # matmuls differently
+    # sha256 over losses, weights, biases and Adam m/v, taken when Adam
+    # began updating in float32 (x86-64, numpy 2.4.6, OpenBLAS 0.3.31 with
+    # its SkylakeX kernel); another BLAS kernel may round float32 matmuls
+    # differently
     @pytest.mark.parametrize("objective", OBJECTIVES)
     def test_training_digest_pinned(self, small_batch, objective):
         digest = {
-            "rectified_flow": "da2b0e10185f66266056e5e15c38e348ee424d5db5446350f7b7ee8af6cfb0a1",
-            "diffusion_prior": "e125391fad3a95ebeae9bba3d4034102ce216d6a44ac9655fd4c2c8cd8b4a45d",
+            "rectified_flow": "011bb1674f206ff1497b5a6f96cc3635b18c77d3cca44d887a3c96c40539323b",
+            "diffusion_prior": "80e18ffb9877d10007df1e10a550adbdb51b24dd4e6f144c162f599cd808f97b",
         }[objective]
         result = train(TrainConfig(objective=objective, steps=40, batch_size=8, seed=9, hidden_dims=[32]), small_batch)
         h = hashlib.sha256(np.asarray(result.losses, dtype=np.float64).tobytes())

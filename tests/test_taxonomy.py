@@ -322,6 +322,21 @@ class TestCorpus:
         with pytest.raises(ParseError, match=rf"corpus\.jsonl:2: bad corpus record: a record holds 2-4 atoms, got {count}"):
             read_corpus(path)
 
+    def test_read_corpus_names_the_file_offset_of_a_non_utf8_byte(self, taxonomy, tmp_path):
+        first = (json.dumps(next(generate_corpus(taxonomy, 1, master_seed=0)).to_dict()) + "\n").encode("utf-8")
+        second = '{"text": "caf\u00e9 '.encode("utf-8") + b"\xff" + b'"}\n'
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(first + second)
+        offset = len(first) + second.index(b"\xff")
+        with pytest.raises(ParseError, match=rf"corpus\.jsonl: not UTF-8 text: byte 0xff at offset {offset}$"):
+            read_corpus(path)
+
+    def test_read_corpus_accepts_crlf_lines(self, taxonomy, tmp_path):
+        records = list(generate_corpus(taxonomy, 5, master_seed=2))
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"".join(json.dumps(r.to_dict()).encode("utf-8") + b"\r\n" for r in records))
+        assert read_corpus(path) == records
+
     def test_read_corpus_builds_each_atom_once(self, taxonomy, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_corpus(generate_corpus(taxonomy, 200, master_seed=1), path)
