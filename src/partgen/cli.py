@@ -49,6 +49,7 @@ from .world import (
     SLOT_COUNT,
     WorldSpec,
     compose_target,
+    compose_targets,
     condition_set,
     decode_parts,
     make_dataset,
@@ -308,7 +309,7 @@ def run_eval_stage(net, config: dict, eval_records: list[HybridPrompt], world: W
     atoms; FID/KID compare the generated batch to the oracle targets.
     """
     conds = [condition_set(r.atoms, world) for r in eval_records]
-    targets = np.stack([compose_target(c, world) for c in conds])
+    targets = compose_targets(conds, world)
     generated = _sample_batch(net, config, conds, world.d)
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
+
 FNV_OFFSET_BASIS = 14695981039346656037
 FNV_PRIME = 1099511628211
 _MASK64 = (1 << 64) - 1
@@ -26,11 +28,29 @@ def fnv1a_64(data: bytes | str) -> int:
     return h
 
 
-def derive_seed(text: str) -> int:
-    """Seed for a prompt: FNV-1a of its UTF-8 bytes."""
-    if not text:
-        raise ValueError("derive_seed requires non-empty text")
-    return fnv1a_64(text)
+def fnv1a_64_many(items: list[bytes | str]) -> list[int]:
+    """``fnv1a_64`` of each item. The items' bytes are the rows of one matrix,
+    longest first, and one uint64 step per byte position j covers the leading
+    rows longer than j; uint64 multiplication wraps mod 2^64 as the mask does."""
+    data = [x.encode("utf-8") if isinstance(x, str) else bytes(x) for x in items]
+    lengths = np.array([len(x) for x in data], dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    width = int(lengths[0]) if data else 0
+    matrix = np.zeros((len(data), width), dtype=np.uint8)
+    matrix[np.arange(width) < lengths[:, None]] = np.frombuffer(b"".join(data[i] for i in order), dtype=np.uint8)
+    h = np.full(len(data), FNV_OFFSET_BASIS, dtype=np.uint64)
+    for j, m in enumerate(np.searchsorted(-lengths, -np.arange(width))):
+        h[:m] ^= matrix[:m, j]
+        h[:m] *= np.uint64(FNV_PRIME)
+    return h[np.argsort(order)].tolist()
+
+
+def derive_seeds(texts: list[str]) -> list[int]:
+    """Seeds for prompts: FNV-1a of each text's UTF-8 bytes."""
+    if not all(texts):
+        raise ValueError("derive_seeds requires non-empty text")
+    return fnv1a_64_many(texts)
 
 
 def combine_seed(master_seed: int, index: int) -> int:

@@ -66,7 +66,7 @@ class Gradients:
     biases: list[np.ndarray]
 
     def any_nonfinite(self) -> bool:
-        return any(not np.all(np.isfinite(g)) for g in self.weights + self.biases)
+        return not all(np.isfinite(g).all() for g in self.weights + self.biases)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

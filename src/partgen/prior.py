@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NonFiniteLoss, ValidationError
 from .hashing import combine_seed
 from .nn import AdamState, DenseNet, Gradients, adam_step, backward, forward
-from .world import SLOT_COUNT, ConditionSet
+from .world import SLOT_COUNT, ConditionSet, slot_rows
 
 TIME_ENC_DIM = 16
 _TIME_FREQS = 10000.0 ** (-np.arange(TIME_ENC_DIM // 2) / (TIME_ENC_DIM // 2 - 1))
@@ -49,13 +49,12 @@ def time_encoding(tau: np.ndarray) -> np.ndarray:
 
 def condition_features(conds: Sequence[ConditionSet], d: int) -> tuple[np.ndarray, np.ndarray]:
     """Zero-padded slot blocks (B, 4d) and presence masks (B, 4)."""
-    blocks = np.zeros((len(conds), SLOT_COUNT * d))
+    embeddings, sets, slots = slot_rows(conds, d)
+    blocks = np.zeros((len(conds), SLOT_COUNT, d))
     masks = np.zeros((len(conds), SLOT_COUNT))
-    for row, cond in enumerate(conds):
-        for i in range(cond.k):
-            blocks[row, i * d:(i + 1) * d] = cond.embeddings[i]
-            masks[row, i] = 1.0
-    return blocks, masks
+    blocks[sets, slots] = embeddings
+    masks[sets, slots] = 1.0
+    return blocks.reshape(len(conds), SLOT_COUNT * d), masks
 
 
 def build_inputs(

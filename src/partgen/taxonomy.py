@@ -4,7 +4,8 @@ The taxonomy is a data file mapping six object domains to eight part kinds
 each, every part carrying a list of donor subjects. A (part, subject) pair
 is a semantic atom, the unit everything downstream composes. Prompts are
 rendered from 2 to 4 distinct-part atoms with a fixed English template and
-get a deterministic 64-bit seed hashed from the prompt text.
+get a deterministic 64-bit seed hashed from the prompt text. The corpus is
+drawn record by record, each from its own seed, and hashed per block.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InsufficientAtoms, ParseError, ValidationError, decode_utf8
-from .hashing import combine_seed, derive_seed
+from .hashing import combine_seed, derive_seeds
 
 DOMAIN_NAMES = ("creature", "vehicle", "furniture", "plant", "electronics", "instrument")
 MIN_ATOMS_PER_PROMPT = 2
@@ -26,6 +27,7 @@ MAX_ATOMS_PER_PROMPT = 4
 MIN_SUBJECTS_PER_PART = 6
 MAX_SUBJECTS_PER_PART = 19
 PARTS_PER_DOMAIN = 8
+CORPUS_BLOCK = 1024  # records drawn, hashed and yielded together
 
 
 @dataclasses.dataclass(frozen=True)
@@ -270,8 +272,8 @@ def render_prompt(prefix: str, atoms: Sequence[SemanticAtom]) -> str:
     return f"{prefix} with {joined}."
 
 
-def _generate_record(taxonomy: Taxonomy, pools: AtomPools, index: int, master_seed: int, mix_ratio: float) -> HybridPrompt:
-    """Generate corpus record ``index`` from its own derived seed.
+def _draw_record(taxonomy: Taxonomy, pools: AtomPools, index: int, master_seed: int, mix_ratio: float) -> tuple[str, bool, list[SemanticAtom], str]:
+    """Prefix, domain-mix flag, atoms and text of record ``index``, from its own seed.
 
     The draw order within the per-item generator is fixed: k, then the
     domain-mix coin, then the domain index of a single-domain record, then
@@ -284,16 +286,7 @@ def _generate_record(taxonomy: Taxonomy, pools: AtomPools, index: int, master_se
     mix = bool(rng.random() < mix_ratio)
     atoms = pools.sample(rng, k, mix_domains=mix)
     prefix = taxonomy.domain(atoms[0].domain).prefix
-    text = render_prompt(prefix, atoms)
-    return HybridPrompt(
-        id=index,
-        prefix=prefix,
-        domain_mix=mix,
-        atoms=atoms,
-        text=text,
-        seed=derive_seed(text),
-        render=RenderConfig(),
-    )
+    return prefix, mix, atoms, render_prompt(prefix, atoms)
 
 
 def generate_corpus(
@@ -302,14 +295,17 @@ def generate_corpus(
     master_seed: int,
     mix_ratio: float = 0.5,
 ) -> Iterator[HybridPrompt]:
-    """Yield records 0..n-1; output depends only on the arguments."""
+    """Yield records 0..n-1, hashed per block; output depends only on the arguments."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not (0.0 <= mix_ratio <= 1.0):
         raise ValueError("mix_ratio must be within [0, 1]")
     pools = AtomPools(taxonomy)
-    for i in range(n):
-        yield _generate_record(taxonomy, pools, i, master_seed, mix_ratio)
+    for start in range(0, n, CORPUS_BLOCK):
+        drawn = [_draw_record(taxonomy, pools, i, master_seed, mix_ratio) for i in range(start, min(start + CORPUS_BLOCK, n))]
+        seeds = derive_seeds([text for *_, text in drawn])
+        for i, (prefix, mix, atoms, text), seed in zip(range(start, n), drawn, seeds):
+            yield HybridPrompt(id=i, prefix=prefix, domain_mix=mix, atoms=atoms, text=text, seed=seed, render=RenderConfig())
 
 
 def write_corpus(records: Iterable[HybridPrompt], path: str | Path) -> int:

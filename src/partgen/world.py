@@ -5,7 +5,8 @@ Every atom gets a deterministic unit Gaussian vector keyed by (world_seed,
 domain, part, subject). A composite target for an ordered condition set is
 normalize(sum_i R_i e_i) with four fixed orthogonal slot rotations, which
 makes composition order-sensitive and leaves the atoms recoverable from the
-target. Recovery maximizes cosine(e, normalize(sum_i R_i e_{a_i})) over atom
+target; many targets are composed slot by slot, with a per-set loop's bits.
+Recovery maximizes cosine(e, normalize(sum_i R_i e_{a_i})) over atom
 tuples; independent per-slot argmax alone is not reliable at d=64 (slot
 cross-talk flips roughly a third of 4-slot tuples), so decode_parts runs an
 escalation ladder that ends in an exact joint search over per-slot
@@ -121,16 +122,37 @@ class ConditionSet:
 
 
 def condition_set(atoms: Sequence[SemanticAtom], world: WorldSpec) -> ConditionSet:
-    rows = np.stack([world.embeddings[world.index_of(a)] for a in atoms])
+    rows = world.embeddings[[world.index_of(a) for a in atoms]]
     return ConditionSet(atoms=list(atoms), embeddings=rows)
 
 
+def slot_rows(conds: Sequence[ConditionSet], d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every filled slot of ``conds`` as one row, sets in order and slots in
+    order within a set: (embeddings (S, d), set index (S,), slot index (S,))."""
+    ks = np.array([c.k for c in conds], dtype=np.intp)
+    sets = np.repeat(np.arange(len(conds)), ks)
+    slots = np.arange(sets.size) - np.repeat(np.cumsum(ks) - ks, ks)
+    return np.concatenate([np.zeros((0, d)), *(c.embeddings for c in conds)]), sets, slots
+
+
+def compose_targets(conds: Sequence[ConditionSet], world: WorldSpec) -> np.ndarray:
+    """normalize(sum_i R_i e_i), the oracle composite, of each set: (n, d).
+
+    Slot by slot, one stacked matmul adds R_i e_i to the sets that fill
+    slot i, and a stacked (1 x d)(d x 1) matmul gives each norm: the gemv
+    and ddot a per-set loop runs, so each row has that loop's bits.
+    """
+    embeddings, sets, slots = slot_rows(conds, world.d)
+    totals = np.zeros((len(conds), world.d))
+    for i, rotation in enumerate(world.rotations):
+        fill = slots == i
+        totals[sets[fill]] += np.matmul(rotation, embeddings[fill][:, :, None])[:, :, 0]
+    return totals / np.sqrt(np.matmul(totals[:, None, :], totals[:, :, None]))[:, 0]
+
+
 def compose_target(cond: ConditionSet, world: WorldSpec) -> np.ndarray:
-    """normalize(sum_i R_i e_i): the oracle composite for a condition set."""
-    total = np.zeros(world.d)
-    for i in range(cond.k):
-        total += world.rotations[i] @ cond.embeddings[i]
-    return total / np.linalg.norm(total)
+    """compose_targets of the one set ``cond``."""
+    return compose_targets([cond], world)[0]
 
 
 def _composite_cosine(world: WorldSpec, e: np.ndarray, tuple_idx: Sequence[int]) -> float:
@@ -280,14 +302,13 @@ def make_dataset(
     world: WorldSpec,
 ) -> list[tuple[ConditionSet, np.ndarray]]:
     """One (condition set, composite target) pair per corpus record."""
-    pairs = []
+    conds = []
     for record in corpus:
         try:
-            cond = condition_set(record.atoms, world)
+            conds.append(condition_set(record.atoms, world))
         except UnknownAtom as exc:
             raise UnknownAtom(f"record {record.id}: {exc}") from None
-        pairs.append((cond, compose_target(cond, world)))
-    return pairs
+    return list(zip(conds, compose_targets(conds, world)))
 
 
 def save_dataset(pairs: Sequence[tuple[ConditionSet, np.ndarray]], path: str | Path, world: WorldSpec) -> None:

@@ -28,3 +28,21 @@ def test_workload_runs_and_reports_a_correct_run(workload):
     assert proc.returncode == 0, proc.stderr[-2000:]
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0, proc.stdout
+
+
+def test_traced_pipeline_reports_every_boundary_and_stage():
+    # the traced run splits a pipeline op into stages at the CLI's
+    # boundaries (generate_corpus, read_corpus, train, run_eval_stage)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "pipeline", "--seconds", "0.1", "--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "missing boundaries" not in proc.stdout, proc.stdout
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True, proc.stdout
+    for stage in ("corpus", "dataset", "train", "eval"):
+        assert last["metrics"][f"cli.stage.{stage}.s"]["value"] > 0, stage

@@ -1,8 +1,10 @@
 """Seed derivation against published FNV-1a reference vectors."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from partgen.hashing import FNV_OFFSET_BASIS, combine_seed, derive_seed, fnv1a_64, tagged_seed
+from partgen.hashing import FNV_OFFSET_BASIS, combine_seed, derive_seeds, fnv1a_64, fnv1a_64_many, tagged_seed
 
 
 def test_empty_input_is_offset_basis():
@@ -31,12 +33,32 @@ def test_result_fits_64_bits():
 
 
 def test_derive_seed_rejects_empty_text():
-    with pytest.raises(ValueError):
-        derive_seed("")
+    for texts in ([""], ["a prompt.", ""]):
+        with pytest.raises(ValueError):
+            derive_seeds(texts)
 
 
 def test_derive_seed_is_text_hash():
-    assert derive_seed("A creature with tail of a lion.") == fnv1a_64("A creature with tail of a lion.")
+    texts = ["A creature with tail of a lion.", "A vehicle with wheel of a bus and sail of a yacht."]
+    assert derive_seeds(texts) == [fnv1a_64(t) for t in texts]
+
+
+@given(st.lists(st.binary(max_size=40)))
+def test_many_matches_scalar_on_bytes(items):
+    assert fnv1a_64_many(items) == [fnv1a_64(x) for x in items]
+
+
+@given(st.lists(st.text(max_size=30)))
+def test_many_matches_scalar_on_text(items):
+    assert fnv1a_64_many(items) == [fnv1a_64(x) for x in items]
+
+
+@pytest.mark.parametrize(
+    "items",
+    [[], [""], ["", b""], ["é", "日本語の部品", "a"], [b"\x00", b"\xff" * 70, b"", "longest of these items by far"]],
+)
+def test_many_matches_scalar_on_edge_cases(items):
+    assert fnv1a_64_many(items) == [fnv1a_64(x) for x in items]
 
 
 def test_combine_seed_depends_on_both_arguments():

@@ -29,7 +29,7 @@ from partgen.prior import (
     train,
     write_loss_csv,
 )
-from partgen.world import compose_target, condition_set, make_dataset
+from partgen.world import SLOT_COUNT, compose_target, condition_set, make_dataset
 from partgen.taxonomy import generate_corpus
 
 
@@ -37,6 +37,17 @@ from partgen.taxonomy import generate_corpus
 def small_batch(taxonomy, world):
     records = list(generate_corpus(taxonomy, 16, master_seed=21))
     return make_dataset(records, taxonomy, world)
+
+
+def _reference_condition_features(conds, d):
+    # row by row, slot by slot
+    blocks = np.zeros((len(conds), SLOT_COUNT * d))
+    masks = np.zeros((len(conds), SLOT_COUNT))
+    for row, cond in enumerate(conds):
+        for i in range(cond.k):
+            blocks[row, i * d:(i + 1) * d] = cond.embeddings[i]
+            masks[row, i] = 1.0
+    return blocks, masks
 
 
 def _zero_net(d: int) -> DenseNet:
@@ -75,6 +86,15 @@ class TestEncodings:
         assert np.array_equal(inputs[0, : world.d], state[0])
         assert np.array_equal(inputs[0, world.d: world.d + TIME_ENC_DIM], time_encoding(np.array([3.0]))[0])
         assert np.array_equal(inputs[0, -4:], masks[0])
+
+    def test_condition_features_match_the_per_slot_loop_bitwise(self, taxonomy, world):
+        conds = [condition_set(r.atoms, world) for r in generate_corpus(taxonomy, 300, master_seed=5)]
+        assert {c.k for c in conds} == {2, 3, 4}
+        for batch in (conds, conds[:1], []):
+            blocks, masks = condition_features(batch, world.d)
+            ref_blocks, ref_masks = _reference_condition_features(batch, world.d)
+            assert blocks.shape == ref_blocks.shape and masks.shape == ref_masks.shape
+            assert blocks.tobytes() == ref_blocks.tobytes() and masks.tobytes() == ref_masks.tobytes()
 
 
 class TestNoiseSchedule:

@@ -10,6 +10,7 @@ import pytest
 from partgen.errors import InsufficientAtoms, ParseError, ValidationError
 from partgen.hashing import fnv1a_64
 from partgen.taxonomy import (
+    CORPUS_BLOCK,
     DOMAIN_NAMES,
     AtomPools,
     RenderConfig,
@@ -242,6 +243,15 @@ class TestCorpus:
         small = list(generate_corpus(taxonomy, 5, master_seed=9))
         large = list(generate_corpus(taxonomy, 20, master_seed=9))
         assert [r.to_dict() for r in small] == [r.to_dict() for r in large[:5]]
+
+    def test_blocked_corpus_seeds_are_text_hashes_and_prefixes(self, taxonomy):
+        # sizes on both sides of one and two block boundaries
+        longest = list(generate_corpus(taxonomy, 2 * CORPUS_BLOCK + 1, master_seed=13))
+        assert [r.id for r in longest] == list(range(2 * CORPUS_BLOCK + 1))
+        assert [r.seed for r in longest] == [fnv1a_64(r.text) for r in longest]
+        for n in (CORPUS_BLOCK - 1, CORPUS_BLOCK, CORPUS_BLOCK + 1):
+            records = list(generate_corpus(taxonomy, n, master_seed=13))
+            assert [r.to_dict() for r in records] == [r.to_dict() for r in longest[:n]]
 
     def test_mix_ratio_extremes(self, taxonomy):
         never = list(generate_corpus(taxonomy, 60, master_seed=2, mix_ratio=0.0))

@@ -15,6 +15,7 @@ from partgen.world import (
     ConditionSet,
     WorldSpec,
     compose_target,
+    compose_targets,
     condition_set,
     decode_parts,
     load_dataset,
@@ -35,6 +36,14 @@ def _sets(taxonomy, world, n, seed, k_values=(2, 3, 4)):
             break
     assert len(out) == n
     return out, rng
+
+
+def _reference_target(cond, world):
+    # one set at a time: a gemv per slot, then the ddot norm
+    total = np.zeros(world.d)
+    for i in range(cond.k):
+        total += world.rotations[i] @ cond.embeddings[i]
+    return total / np.linalg.norm(total)
 
 
 def _full_grid(world, e, est, k, i, j):
@@ -290,6 +299,20 @@ class TestDataset:
         for (cond, target), record in zip(pairs, records):
             assert [a.key for a in cond.atoms] == [a.key for a in record.atoms]
             assert np.allclose(target, compose_target(cond, world))
+
+    def test_targets_have_the_per_set_loop_bits(self, taxonomy, world):
+        records = list(generate_corpus(taxonomy, 2000, master_seed=11))
+        assert {len(r.atoms) for r in records} == {2, 3, 4}
+        conds = [condition_set(r.atoms, world) for r in records]
+        expected = np.stack([_reference_target(c, world) for c in conds])
+        assert compose_targets(conds, world).tobytes() == expected.tobytes()
+        targets = np.stack([target for _, target in make_dataset(records, taxonomy, world)])
+        assert targets.tobytes() == expected.tobytes()
+        for cond, row in zip(conds[:100], expected):
+            assert compose_target(cond, world).tobytes() == row.tobytes()
+
+    def test_compose_targets_of_no_sets_is_empty(self, world):
+        assert compose_targets([], world).shape == (0, world.d)
 
     def test_make_dataset_names_the_record_of_an_unknown_atom(self, taxonomy, world):
         records = list(generate_corpus(taxonomy, 3, master_seed=4))
