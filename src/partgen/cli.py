@@ -457,7 +457,7 @@ def _run_pipeline(config: dict, out_dir: Path, compare_manifest: dict | None) ->
         seeds = {key: config[key] for key in ("master_seed", "eval_seed", "world_seed", "train_seed", "sample_seed")}
         manifest = build_manifest(config, seeds, artifacts, out_dir)
         write_manifest(manifest, out_dir / "manifest.json")
-    except (PartgenError, OSError, ValueError) as exc:
+    except (PartgenError, OSError, ValueError, MemoryError) as exc:
         print(f"pipeline stage {stage!r} failed: {exc}", file=sys.stderr)
         return 1
 
@@ -592,7 +592,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (PartgenError, OSError) as exc:
+    except (PartgenError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

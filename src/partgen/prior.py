@@ -5,16 +5,18 @@ The network always sees one flat input vector: the state, a 16-dim
 sinusoidal encoding of time, four zero-padded condition slots, and a 4-bit
 slot mask (dimension 5d + 20). The denoising objective predicts the clean
 composite from its noised version (fixed linear schedule, ALPHA_BARS); the
-flow objective predicts the straight path velocity target - x0. train and
-objective_loss reach both through one table of draws and regression pairs.
-Condition dropout zeroes both the slots and the mask of an item, which
-trains the unconditional branch used by classifier-free guidance.
+flow objective predicts the straight path velocity target - x0. One table
+holds each objective's draws, regression pairs and sampling schedule, which
+train, objective_loss and the samplers all read. Condition dropout zeroes
+both the slots and the mask of an item, which trains the unconditional
+branch used by classifier-free guidance.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Sequence
+import functools
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -129,12 +131,31 @@ def _diffusion_pairs(targets, blocks, masks, draws: DiffusionDraws, dtype: type)
     return _drop_conditions(inputs, targets.shape[1], draws.drop), targets
 
 
+def _flow_schedule(n_steps: int) -> Iterator[tuple[float, Callable]]:
+    """Euler steps at t = s h for s in 0..n_steps-1, h = 1 / n_steps."""
+    h = 1.0 / n_steps
+    return ((FLOW_TIME_SCALE * (s * h), lambda x, v: x + h * v) for s in range(n_steps))
+
+
+def _ddim_update(ab_t: float, ab_prev: float, x: np.ndarray, e_hat: np.ndarray) -> np.ndarray:
+    """The noise implied by the predicted composite, re-noised to alpha_bar ab_prev."""
+    eps_hat = (x - np.sqrt(ab_t) * e_hat) / np.sqrt(1.0 - ab_t)
+    return np.sqrt(ab_prev) * e_hat + np.sqrt(1.0 - ab_prev) * eps_hat
+
+
+def _diffusion_schedule(n_steps: int) -> Iterator[tuple[float, Callable]]:
+    """DDIM (eta = 0) over strided timesteps from T down, the last step to t = 0."""
+    ts = np.unique(np.linspace(1, DIFFUSION_STEPS, min(n_steps, DIFFUSION_STEPS)).round().astype(int))[::-1]
+    return ((float(t), functools.partial(_ddim_update, ALPHA_BARS[t], ALPHA_BARS[t_prev])) for t, t_prev in zip(ts, [*ts[1:], 0]))
+
+
 # objective name -> (draw maker (rng, batch size, d, cond_dropout),
 # (targets, blocks, masks, draws, dtype) -> (network inputs in dtype,
-# regression targets))
+# regression targets), n_steps -> sampling schedule, one (tau, update(x,
+# prediction) -> next x) per step)
 _OBJECTIVES = {
-    "rectified_flow": (make_flow_draws, _flow_pairs),
-    "diffusion_prior": (make_diffusion_draws, _diffusion_pairs),
+    "rectified_flow": (make_flow_draws, _flow_pairs, _flow_schedule),
+    "diffusion_prior": (make_diffusion_draws, _diffusion_pairs, _diffusion_schedule),
 }
 OBJECTIVES = tuple(_OBJECTIVES)
 
@@ -183,7 +204,7 @@ def objective_loss(
         raise ValueError("batch must be non-empty")
     targets = np.stack([target for _, target in batch])
     blocks, masks = condition_features([cond for cond, _ in batch], targets.shape[1])
-    _, pairs = _OBJECTIVES[objective]
+    _, pairs, _ = _OBJECTIVES[objective]
     inputs, reg_targets = pairs(targets, blocks, masks, draws, dtype)
     return _regression_loss(net, inputs, reg_targets, want_grads, predictor, dtype)
 
@@ -224,7 +245,7 @@ def train(config: TrainConfig, dataset: Sequence[tuple[ConditionSet, np.ndarray]
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
-    make_draws, pairs = _OBJECTIVES[config.objective]
+    make_draws, pairs, _ = _OBJECTIVES[config.objective]
     d = dataset[0][1].size
     net = DenseNet.init([input_dim(d)] + list(config.hidden_dims) + [d], seed=config.seed)
     adam = AdamState.init(net, lr=config.lr)
@@ -279,40 +300,27 @@ def _guided(net, x: np.ndarray, tau: np.ndarray, blocks: np.ndarray, masks: np.n
     return uncond_out + cfg_scale * (cond_out - uncond_out)
 
 
-def sample_flow_batch(
-    net,
-    conds: Sequence[ConditionSet],
-    d: int,
-    n_steps: int = 50,
-    cfg_scale: float = 1.0,
-    seed: int = 0,
-) -> np.ndarray:
+def _sample(objective: str, net, conds: Sequence[ConditionSet], d: int, n_steps: int, cfg_scale: float, seed: int) -> np.ndarray:
+    """One guided prediction and update per step of ``objective``'s schedule."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    blocks, masks = condition_features(conds, d)
+    x = np.stack([np.random.default_rng(combine_seed(seed, i)).standard_normal(d) for i in range(len(conds))])
+    for tau, update in _OBJECTIVES[objective][2](n_steps):
+        x = update(x, _guided(net, x, np.full(len(conds), tau), blocks, masks, cfg_scale))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def sample_flow_batch(net, conds: Sequence[ConditionSet], d: int, n_steps: int = 50, cfg_scale: float = 1.0, seed: int = 0) -> np.ndarray:
     """Euler integration of the learned velocity field from seeded noise.
 
     Per-sample noise comes from a stream keyed by the sample index, so any
     sub-batch reproduces the full batch's rows. Outputs are unit-norm.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    blocks, masks = condition_features(conds, d)
-    x = np.stack([np.random.default_rng(combine_seed(seed, i)).standard_normal(d) for i in range(len(conds))])
-    h = 1.0 / n_steps
-    for s in range(n_steps):
-        t = s * h
-        tau = np.full(len(conds), FLOW_TIME_SCALE * t)
-        v = _guided(net, x, tau, blocks, masks, cfg_scale)
-        x = x + h * v
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    return _sample("rectified_flow", net, conds, d, n_steps, cfg_scale, seed)
 
 
-def sample_diffusion_batch(
-    net,
-    conds: Sequence[ConditionSet],
-    d: int,
-    n_steps: int = 50,
-    cfg_scale: float = 1.0,
-    seed: int = 0,
-) -> np.ndarray:
+def sample_diffusion_batch(net, conds: Sequence[ConditionSet], d: int, n_steps: int = 50, cfg_scale: float = 1.0, seed: int = 0) -> np.ndarray:
     """Deterministic reverse loop (eta = 0) over a strided timestep subset.
 
     The network predicts the clean composite; each step converts that to the
@@ -320,18 +328,4 @@ def sample_diffusion_batch(
     lands on alpha_bar(0) = 1, so a perfect predictor returns the target
     exactly. Outputs are unit-norm.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    timesteps = np.unique(np.linspace(1, DIFFUSION_STEPS, min(n_steps, DIFFUSION_STEPS)).round().astype(int))[::-1]
-    blocks, masks = condition_features(conds, d)
-    x = np.stack([np.random.default_rng(combine_seed(seed, i)).standard_normal(d) for i in range(len(conds))])
-    for j, t in enumerate(timesteps):
-        tau = np.full(len(conds), float(t))
-        e_hat = _guided(net, x, tau, blocks, masks, cfg_scale)
-        ab_t = ALPHA_BARS[t]
-        eps_hat = (x - np.sqrt(ab_t) * e_hat) / np.sqrt(1.0 - ab_t)
-        t_prev = timesteps[j + 1] if j + 1 < len(timesteps) else 0
-        ab_prev = ALPHA_BARS[t_prev]
-        x = np.sqrt(ab_prev) * e_hat + np.sqrt(1.0 - ab_prev) * eps_hat
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
-
+    return _sample("diffusion_prior", net, conds, d, n_steps, cfg_scale, seed)

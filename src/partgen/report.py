@@ -38,11 +38,14 @@ def load_report(path: str | Path) -> dict:
     return report
 
 
-def _svg_header(width: int, height: int, title: str) -> list[str]:
+_WIDTH, _HEIGHT = 640, 400  # every chart's size in pixels
+
+
+def _svg_header(title: str) -> list[str]:
     return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width // 2}" y="24" text-anchor="middle" font-family="sans-serif" font-size="16">{escape(title, quote=False)}</text>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" font-family="sans-serif" font-size="16">{escape(title, quote=False)}</text>',
     ]
 
 
@@ -54,8 +57,6 @@ def svg_line_chart(
     title: str,
     x_label: str,
     y_label: str,
-    width: int = 640,
-    height: int = 400,
 ) -> str:
     """Line chart with one polyline per series, legend, and value labels.
 
@@ -64,8 +65,8 @@ def svg_line_chart(
     if not series:
         raise ValueError("series must be non-empty")
     margin_l, margin_r, margin_t, margin_b = 70, 30, 50, 50
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = _WIDTH - margin_l - margin_r
+    plot_h = _HEIGHT - margin_t - margin_b
     xs = sorted({x for pts in series.values() for x, _ in pts})
     ys = [y for pts in series.values() for _, y in pts]
     x_min, x_max = min(xs), max(xs)
@@ -82,7 +83,7 @@ def svg_line_chart(
     def py(y: float) -> float:
         return margin_t + plot_h - (y - y_min) / y_span * plot_h
 
-    parts = _svg_header(width, height, title)
+    parts = _svg_header(title)
     parts.append(
         f'<line x1="{margin_l}" y1="{margin_t + plot_h}" x2="{margin_l + plot_w}" y2="{margin_t + plot_h}" stroke="black"/>'
     )
@@ -97,7 +98,7 @@ def svg_line_chart(
             f'<text x="{margin_l - 8}" y="{py(y):.1f}" text-anchor="end" font-family="sans-serif" font-size="12">{y:.2f}</text>'
         )
     parts.append(
-        f'<text x="{margin_l + plot_w / 2:.1f}" y="{height - 10}" text-anchor="middle" font-family="sans-serif" font-size="13">{escape(x_label, quote=False)}</text>'
+        f'<text x="{margin_l + plot_w / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle" font-family="sans-serif" font-size="13">{escape(x_label, quote=False)}</text>'
     )
     parts.append(
         f'<text x="18" y="{margin_t + plot_h / 2:.1f}" text-anchor="middle" font-family="sans-serif" font-size="13" transform="rotate(-90 18 {margin_t + plot_h / 2:.1f})">{escape(y_label, quote=False)}</text>'
@@ -110,26 +111,26 @@ def svg_line_chart(
         for x, y in pts:
             parts.append(f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="3.5" fill="{color}"/>')
         legend_y = margin_t + 6 + 18 * idx
-        parts.append(f'<rect x="{width - 160}" y="{legend_y - 10}" width="12" height="12" fill="{color}"/>')
+        parts.append(f'<rect x="{_WIDTH - 160}" y="{legend_y - 10}" width="12" height="12" fill="{color}"/>')
         parts.append(
-            f'<text x="{width - 142}" y="{legend_y}" font-family="sans-serif" font-size="12">{escape(label, quote=False)}</text>'
+            f'<text x="{_WIDTH - 142}" y="{legend_y}" font-family="sans-serif" font-size="12">{escape(label, quote=False)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def svg_bar_chart(values: dict[str, float], title: str, width: int = 640, height: int = 400) -> str:
+def svg_bar_chart(values: dict[str, float], title: str) -> str:
     """Bar chart of named scalar metrics, labels under the bars."""
     if not values:
         raise ValueError("values must be non-empty")
     margin_l, margin_r, margin_t, margin_b = 70, 30, 50, 70
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = _WIDTH - margin_l - margin_r
+    plot_h = _HEIGHT - margin_t - margin_b
     labels = list(values)
     top = max(max(values.values()), 1e-12)
     slot = plot_w / len(labels)
     bar_w = slot * 0.6
-    parts = _svg_header(width, height, title)
+    parts = _svg_header(title)
     parts.append(
         f'<line x1="{margin_l}" y1="{margin_t + plot_h}" x2="{margin_l + plot_w}" y2="{margin_t + plot_h}" stroke="black"/>'
     )

@@ -57,6 +57,19 @@ class TestHelp:
         assert "--out" in out and "--config" in out and "--set" in out
 
 
+def _main_under_1_gib(argv: list[str]) -> subprocess.CompletedProcess:
+    """``main(argv)`` in a child process whose address space is capped at 1 GiB."""
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from partgen.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True, text=True, timeout=120)
+
+
 class TestExitCodes:
     def test_taxonomy_validate_ok(self, capsys):
         assert main(["taxonomy", "validate", str(default_taxonomy_path())]) == 0
@@ -122,18 +135,31 @@ class TestExitCodes:
         # instead of exhausting the machine
         ckpt = tmp_path / "net.bin"
         ckpt.write_bytes((CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) + _ACTIVATION_TAG + sizes).ljust(64, b"\0"))
-        child = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from partgen.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), OPENBLAS_NUM_THREADS="1")
-        argv = ["prior", "sample", "--ckpt", str(ckpt), "--atoms", "head:lion,body:horse"]
-        proc = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True, text=True, timeout=120)
+        proc = _main_under_1_gib(["prior", "sample", "--ckpt", str(ckpt), "--atoms", "head:lion,body:horse"])
         err = proc.stderr.strip().splitlines()
         assert proc.returncode == 1 and len(err) == 1 and "truncated checkpoint" in err[0], proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, first_words",
+        [
+            (["pipeline", "run", "--set", "batch_size=1000000000000"], "pipeline stage 'train' failed: "),
+            (["pipeline", "run", "--set", "dim=2000000"], "pipeline stage 'setup' failed: "),
+            (["prior", "train", "--batch-size", "1000000000000"], "error: "),
+        ],
+        ids=["pipeline-batch-size", "pipeline-dim", "prior-train-batch-size"],
+    )
+    def test_out_of_memory_request_is_one_line(self, tmp_path, argv, first_words):
+        # each request asks numpy for terabytes, which the child's capped
+        # address space refuses with a MemoryError
+        if argv[0] == "pipeline":
+            argv = argv + ["--out", str(tmp_path / "run"), "--set", "n_train=20", "--set", "n_eval=2", "--set", "steps=2"]
+        else:
+            corpus = tmp_path / "corpus.jsonl"
+            assert main(["corpus", "gen", "--n", "20", "--out", str(corpus)]) == 0
+            argv = argv + ["--corpus", str(corpus), "--out", str(tmp_path / "net.bin"), "--steps", "2"]
+        proc = _main_under_1_gib(argv)
+        err = proc.stderr.strip().splitlines()
+        assert proc.returncode == 1 and len(err) == 1 and err[0].startswith(first_words), proc.stderr
 
     @pytest.mark.parametrize("dims", [[], [input_dim(DEFAULT_DIM)]], ids=["n-dims-0", "n-dims-1"])
     def test_checkpoint_with_fewer_than_two_dims_is_one_line(self, tmp_path, capsys, dims):

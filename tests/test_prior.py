@@ -16,6 +16,7 @@ from partgen.prior import (
     TIME_ENC_DIM,
     FlowDraws,
     TrainConfig,
+    _guided,
     build_inputs,
     condition_features,
     input_dim,
@@ -48,6 +49,35 @@ def _reference_condition_features(conds, d):
             blocks[row, i * d:(i + 1) * d] = cond.embeddings[i]
             masks[row, i] = 1.0
     return blocks, masks
+
+
+def _reference_flow_sampler(net, conds, d, n_steps, cfg_scale, seed):
+    # the Euler loop as written out before both samplers shared one loop
+    blocks, masks = condition_features(conds, d)
+    x = np.stack([np.random.default_rng(combine_seed(seed, i)).standard_normal(d) for i in range(len(conds))])
+    h = 1.0 / n_steps
+    for s in range(n_steps):
+        t = s * h
+        tau = np.full(len(conds), FLOW_TIME_SCALE * t)
+        v = _guided(net, x, tau, blocks, masks, cfg_scale)
+        x = x + h * v
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def _reference_diffusion_sampler(net, conds, d, n_steps, cfg_scale, seed):
+    # the DDIM loop as written out before both samplers shared one loop
+    timesteps = np.unique(np.linspace(1, DIFFUSION_STEPS, min(n_steps, DIFFUSION_STEPS)).round().astype(int))[::-1]
+    blocks, masks = condition_features(conds, d)
+    x = np.stack([np.random.default_rng(combine_seed(seed, i)).standard_normal(d) for i in range(len(conds))])
+    for j, t in enumerate(timesteps):
+        tau = np.full(len(conds), float(t))
+        e_hat = _guided(net, x, tau, blocks, masks, cfg_scale)
+        ab_t = ALPHA_BARS[t]
+        eps_hat = (x - np.sqrt(ab_t) * e_hat) / np.sqrt(1.0 - ab_t)
+        t_prev = timesteps[j + 1] if j + 1 < len(timesteps) else 0
+        ab_prev = ALPHA_BARS[t_prev]
+        x = np.sqrt(ab_prev) * e_hat + np.sqrt(1.0 - ab_prev) * eps_hat
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 def _zero_net(d: int) -> DenseNet:
@@ -373,7 +403,30 @@ class TestSamplers:
             h.update(sampler(net, conds, world.d, n_steps=10, cfg_scale=cfg_scale, seed=8).tobytes())
         assert h.hexdigest() == digest
 
-    def test_step_count_validated(self, world, small_batch):
+    # n_steps 1 and the edges of the 1000-step diffusion grid, which the
+    # n_steps=10 pins above miss
+    @pytest.mark.parametrize("n_steps", [1, 999, 1000, 1001])
+    @pytest.mark.parametrize(
+        "sampler, reference",
+        [(sample_flow_batch, _reference_flow_sampler), (sample_diffusion_batch, _reference_diffusion_sampler)],
+        ids=["flow", "diffusion"],
+    )
+    def test_matches_the_written_out_loop_bitwise(self, world, small_batch, sampler, reference, n_steps):
+        conds = [c for c, _ in small_batch[:3]]
+        d = world.d
+
+        def field(x, tau, blocks, masks):
+            return np.tanh(0.5 * x + tau[:, None] / FLOW_TIME_SCALE) + blocks[:, :d] * masks[:, :1]
+
+        for net in (DenseNet.init([input_dim(d), 16, d], seed=16), field):
+            for cfg_scale in (1.0, 2.0, -0.5):
+                got = sampler(net, conds, d, n_steps=n_steps, cfg_scale=cfg_scale, seed=9)
+                want = reference(net, conds, d, n_steps, cfg_scale, 9)
+                assert got.tobytes() == want.tobytes(), (type(net).__name__, cfg_scale)
+
+    @pytest.mark.parametrize("n_steps", [0, -1])
+    @pytest.mark.parametrize("sampler", [sample_flow_batch, sample_diffusion_batch], ids=["flow", "diffusion"])
+    def test_step_count_validated(self, world, small_batch, sampler, n_steps):
         conds = [c for c, _ in small_batch[:1]]
-        with pytest.raises(ValueError):
-            sample_flow_batch(_zero_net(world.d), conds, world.d, n_steps=0)
+        with pytest.raises(ValueError, match="n_steps must be >= 1"):
+            sampler(_zero_net(world.d), conds, world.d, n_steps=n_steps)
