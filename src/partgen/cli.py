@@ -29,7 +29,7 @@ from .metrics import fid, gaussian_stats, kid, slot_match
 from .metrics import compositional_accuracy, compositional_accuracy_by_k  # noqa: F401
 from .nn import load_checkpoint, save_checkpoint
 from .parteval import OracleGrader, parteval_grade_many, parteval_questions, parteval_score
-from .prior import TrainConfig, sample_diffusion_batch, sample_flow_batch, train, write_loss_csv
+from .prior import DIFFUSION_STEPS, TrainConfig, sample_diffusion_batch, sample_flow_batch, train, write_loss_csv
 from .report import complexity_report, load_report, svg_bar_chart, write_report
 from .taxonomy import (
     MIN_ATOMS_PER_PROMPT,
@@ -103,11 +103,11 @@ class UsageError(Exception):
     """Raised for bad invocations; mapped to exit code 2."""
 
 
-def _resolve_taxonomy(path_str: str) -> tuple[Taxonomy, Path]:
+def _resolve_taxonomy(path_str: str) -> Taxonomy:
     path = Path(path_str) if path_str else default_taxonomy_path()
     if not path.exists():
         raise UsageError(f"--taxonomy: file not found: {path}")
-    return load_taxonomy(path), path
+    return load_taxonomy(path)
 
 
 def check_config(values: dict, flags: dict[str, str] | None = None) -> dict:
@@ -134,6 +134,8 @@ def check_config(values: dict, flags: dict[str, str] | None = None) -> dict:
         if ok is not None and not ok(value):
             raise UsageError(f"{name} must be {rule}, got {value}")
         config[key] = value
+    if config["objective"] == "diffusion" and config["sample_steps"] > DIFFUSION_STEPS:
+        raise UsageError(f"{flags.get('sample_steps', 'sample_steps')} must be <= {DIFFUSION_STEPS} for diffusion, got {config['sample_steps']}")
     return config
 
 
@@ -245,7 +247,7 @@ def cmd_taxonomy_validate(args) -> int:
 
 def cmd_corpus_gen(args) -> int:
     config = _subcommand_config(args)
-    taxonomy, _ = _resolve_taxonomy(config["taxonomy"])
+    taxonomy = _resolve_taxonomy(config["taxonomy"])
     count = write_corpus(_corpus(taxonomy, config), args.out)
     print(f"wrote {count} records to {args.out}")
     return 0
@@ -253,7 +255,7 @@ def cmd_corpus_gen(args) -> int:
 
 def cmd_prior_train(args) -> int:
     config = _subcommand_config(args)
-    taxonomy, _ = _resolve_taxonomy(config["taxonomy"])
+    taxonomy = _resolve_taxonomy(config["taxonomy"])
     dataset = make_dataset(read_corpus(args.corpus), taxonomy, _world(taxonomy, config))
     result = _train_stage(config, dataset, args.out, args.loss_csv)
     final = float(np.mean(result.losses[-100:]))
@@ -273,7 +275,7 @@ def _sample_record_json(prompt_id, atoms, generated, target, decoded) -> dict:
 
 def cmd_prior_sample(args) -> int:
     config = _subcommand_config(args)
-    taxonomy, _ = _resolve_taxonomy(config["taxonomy"])
+    taxonomy = _resolve_taxonomy(config["taxonomy"])
     world = _world(taxonomy, config)
     net, _ = load_checkpoint(args.ckpt)
     if (args.prompt_id is None) == (args.atoms is None):
@@ -402,7 +404,7 @@ def run_eval_stage(net, config: dict, eval_records: list[HybridPrompt], world: W
 
 def cmd_eval(args) -> int:
     config = _subcommand_config(args)
-    taxonomy, _ = _resolve_taxonomy(config["taxonomy"])
+    taxonomy = _resolve_taxonomy(config["taxonomy"])
     world = _world(taxonomy, config)
     net, _ = load_checkpoint(args.ckpt)
     eval_records = list(_corpus(taxonomy, config, held_out=True))
@@ -414,20 +416,31 @@ def cmd_eval(args) -> int:
 
 def cmd_pipeline_run(args) -> int:
     config = resolve_pipeline_config(args.config, args.set or [])
-    return _run_pipeline(config, Path(args.out), compare_manifest=None)
+    return _run_pipeline(config, Path(args.out))
 
 
 def cmd_pipeline_rerun(args) -> int:
-    manifest = load_manifest(args.manifest)
-    return _run_pipeline(check_config(manifest["config"]), Path(args.out), compare_manifest=manifest)
+    """Run the recorded config again, then check the replay's artifacts
+    against the recorded digests, as `pipeline verify` does."""
+    recorded, out_dir = load_manifest(args.manifest), Path(args.out)
+    if _run_pipeline(check_config(recorded["config"]), out_dir):
+        return 1
+    fresh = load_manifest(out_dir / "manifest.json")["artifacts"]
+    problems = verify_artifacts(recorded, out_dir)
+    problems += [f"{name}: not in the recorded manifest" for name in sorted(set(fresh) - set(recorded["artifacts"]))]
+    if problems:
+        print("rerun diverged from the manifest:", *problems, sep="\n  ", file=sys.stderr)
+        return 1
+    print(f"rerun verified: all {len(recorded['artifacts'])} artifact digests match the manifest")
+    return 0
 
 
-def _run_pipeline(config: dict, out_dir: Path, compare_manifest: dict | None) -> int:
-    """Every stage into ``out_dir``, from a config check_config returned."""
+def _run_pipeline(config: dict, out_dir: Path) -> int:
+    """Every stage into ``out_dir``, from a config check_config returned;
+    the manifest records that config as given."""
     stage = "setup"
     try:
-        taxonomy, taxonomy_path = _resolve_taxonomy(config["taxonomy"])
-        config = {**config, "taxonomy": str(taxonomy_path)}
+        taxonomy = _resolve_taxonomy(config["taxonomy"])
         out_dir.mkdir(parents=True, exist_ok=True)
         world = _world(taxonomy, config)
         artifacts: dict[str, Path] = {}
@@ -463,22 +476,6 @@ def _run_pipeline(config: dict, out_dir: Path, compare_manifest: dict | None) ->
 
     print(f"pipeline complete: {out_dir}")
     print(f"metrics: {json.dumps(metrics, sort_keys=True)}")
-
-    if compare_manifest is not None:
-        recorded = compare_manifest["artifacts"]
-        fresh = manifest["artifacts"]
-        problems = []
-        for name in sorted(set(recorded) | set(fresh)):
-            if name not in recorded or name not in fresh:
-                problems.append(f"{name}: present in only one run")
-            elif recorded[name]["sha256"] != fresh[name]["sha256"]:
-                problems.append(f"{name}: digest mismatch")
-        if problems:
-            print("rerun diverged from the manifest:", file=sys.stderr)
-            for p in problems:
-                print(f"  {p}", file=sys.stderr)
-            return 1
-        print(f"rerun verified: all {len(fresh)} artifact digests match the manifest")
     return 0
 
 
@@ -568,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", default=None, help="key=value config file")
     p_run.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override, repeatable")
     p_run.set_defaults(handler=cmd_pipeline_run)
-    p_rerun = pipe_sub.add_parser("rerun", help="replay a manifest and verify digests")
+    p_rerun = pipe_sub.add_parser("rerun", help="run a manifest's config again, then verify its digests")
     p_rerun.add_argument("--manifest", required=True, help="manifest.json of the original run")
     p_rerun.add_argument("--out", required=True, help="directory for the replayed run")
     p_rerun.set_defaults(handler=cmd_pipeline_rerun)

@@ -1,6 +1,6 @@
-"""Run manifests: every artifact a run writes is recorded with a SHA-256
-digest, and every seed is recorded by name, so a run can be replayed and
-byte-compared later."""
+"""Run manifests: the config as given, every seed by name, and a SHA-256
+digest for every artifact at a path inside the run directory, so a run can
+be replayed from any checkout and checked against the recorded digests."""
 
 from __future__ import annotations
 
@@ -56,6 +56,8 @@ def load_manifest(path: str | Path) -> dict:
     for name, entry in manifest["artifacts"].items():
         if not (isinstance(entry, dict) and all(isinstance(entry.get(key), str) for key in ("path", "sha256"))):
             raise ParseError(f"{path}: artifact {name!r} needs string 'path' and 'sha256'")
+        if Path(entry["path"]).is_absolute() or ".." in Path(entry["path"]).parts:
+            raise ParseError(f"{path}: artifact {name!r} path {entry['path']!r} leaves the run directory")
     return manifest
 
 

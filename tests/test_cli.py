@@ -1,7 +1,9 @@
 """Command-line surface: help text, exit codes, config handling."""
 
+import hashlib
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -210,6 +212,11 @@ class TestConfigResolution:
         with pytest.raises(UsageError, match="--config"):
             resolve_pipeline_config("/absent.conf", [])
 
+    @pytest.mark.parametrize("objective, steps", [("diffusion", "1000"), ("flow", "1001")])
+    def test_sample_steps_within_the_objective_cap_pass(self, objective, steps):
+        config = resolve_pipeline_config(None, [f"objective={objective}", f"sample_steps={steps}"])
+        assert config["sample_steps"] == int(steps)
+
 
 class TestCorpusAndSample:
     def test_corpus_gen_writes_records(self, tmp_path, capsys):
@@ -288,24 +295,58 @@ class TestReportCommand:
         assert "metric" in capsys.readouterr().err
 
 
+TINY_RUN = ["--set", "n_train=50", "--set", "steps=5", "--set", "n_eval=4"]
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A default-config pipeline run, scaled down; returns its manifest."""
+    run = tmp_path_factory.mktemp("tiny_run")
+    assert main(["pipeline", "run", "--out", str(run), *TINY_RUN]) == 0
+    return json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+
+
 class TestRerunDivergence:
-    @pytest.mark.parametrize("edit, problem", [
-        ("digest", "checkpoint: digest mismatch"),
-        ("extra-artifact", "ghost: present in only one run"),
-    ])
-    def test_rerun_names_what_diverged(self, tmp_path, capsys, edit, problem):
-        run = tmp_path / "run"
-        assert main(["pipeline", "run", "--out", str(run), "--set", "n_train=50", "--set", "steps=5", "--set", "n_eval=4"]) == 0
-        manifest_path = run / "manifest.json"
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    def test_manifest_records_the_config_as_given(self, tiny_run):
+        # "" is the shipped taxonomy, which resolves in whichever checkout replays the run
+        assert tiny_run["config"]["taxonomy"] == ""
+        assert tiny_run["config"] == resolve_pipeline_config(None, TINY_RUN[1::2])
+
+    @pytest.mark.parametrize("edit", ["digest", "extra-artifact", "dropped-artifact"])
+    def test_rerun_names_what_diverged(self, tmp_path, capsys, tiny_run, edit):
+        manifest = json.loads(json.dumps(tiny_run))
         if edit == "digest":
+            problem = f"checkpoint: digest mismatch (checkpoint.bin: {manifest['artifacts']['checkpoint']['sha256']} != {'0' * 64})"
             manifest["artifacts"]["checkpoint"]["sha256"] = "0" * 64
-        else:
+        elif edit == "extra-artifact":
+            problem = "ghost: missing file ghost.bin"
             manifest["artifacts"]["ghost"] = {"path": "ghost.bin", "sha256": "0" * 64}
+        else:
+            problem = "loss_curve: not in the recorded manifest"
+            del manifest["artifacts"]["loss_curve"]
+        manifest_path = tmp_path / "manifest.json"
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         capsys.readouterr()
         assert main(["pipeline", "rerun", "--manifest", str(manifest_path), "--out", str(tmp_path / "rerun")]) == 1
         assert capsys.readouterr().err.splitlines() == ["rerun diverged from the manifest:", f"  {problem}"]
+
+    def test_rerun_from_a_moved_checkout(self, tmp_path):
+        # record a run with the package at A, move A to B, and replay it from B
+        checkout_a, checkout_b = tmp_path / "A", tmp_path / "B"
+        shutil.copytree(Path(__file__).resolve().parents[1] / "src" / "partgen", checkout_a / "partgen",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+        def partgen(checkout, *argv):
+            env = dict(os.environ, PYTHONPATH=str(checkout), OPENBLAS_NUM_THREADS="1")
+            return subprocess.run([sys.executable, "-m", "partgen.cli", *argv], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=300)
+
+        run = partgen(checkout_a, "pipeline", "run", "--out", str(tmp_path / "run"), *TINY_RUN)
+        assert run.returncode == 0, run.stderr
+        shutil.move(checkout_a, checkout_b)
+        rerun = partgen(checkout_b, "pipeline", "rerun", "--manifest", str(tmp_path / "run" / "manifest.json"),
+                        "--out", str(tmp_path / "rerun"))
+        assert rerun.returncode == 0 and "rerun verified: all 11 artifact digests match" in rerun.stdout, rerun.stderr
 
 
 def _tiny_checkpoint(tmp_path):
@@ -327,10 +368,19 @@ MALFORMED = [
     ("run-train-seed-negative", ["pipeline", "run", "--out", "{out}", "--set", "train_seed=-1"], 2, "train_seed"),
     ("run-set-without-value", ["pipeline", "run", "--out", "{out}", "--set", "steps"], 2, "--set"),
     ("run-config-dim-1", ["pipeline", "run", "--out", "{out}", "--config", "{conf}"], 2, "dim"),
+    ("run-diffusion-sample-steps-1001", ["pipeline", "run", "--out", "{out}", "--set", "objective=diffusion",
+                                        "--set", "sample_steps=1001"], 2, "sample_steps must be <= 1000 for diffusion, got 1001"),
     ("rerun-lacks-taxonomy", ["pipeline", "rerun", "--manifest", "{manifest_lacks_taxonomy}", "--out", "{out}"], 2, "taxonomy"),
     ("rerun-steps-0", ["pipeline", "rerun", "--manifest", "{manifest_steps_0}", "--out", "{out}"], 2, "steps"),
     ("rerun-config-list", ["pipeline", "rerun", "--manifest", "{manifest_config_list}", "--out", "{out}"], 1, "'config'"),
     ("verify-artifacts-list", ["pipeline", "verify", "--manifest", "{manifest_artifacts_list}"], 1, "'artifacts'"),
+    # artifact paths that leave the run directory, though the file they name exists and matches its digest
+    ("verify-artifact-absolute", ["pipeline", "verify", "--manifest", "{manifest_artifact_absolute}"], 1,
+     "leaves the run directory"),
+    ("verify-artifact-dotdot", ["pipeline", "verify", "--manifest", "{manifest_artifact_dotdot}"], 1,
+     "path 'a_dir/../outside.txt' leaves the run directory"),
+    ("rerun-artifact-dotdot", ["pipeline", "rerun", "--manifest", "{manifest_artifact_dotdot}", "--out", "{out}"], 1,
+     "path 'a_dir/../outside.txt' leaves the run directory"),
     ("verify-missing-manifest", ["pipeline", "verify", "--manifest", "{tmp}/absent.json"], 1, "absent.json"),
     ("report-missing-file", ["report", "{tmp}/absent.json", "--out-csv", "{out}", "--out-svg", "{out}.svg"], 1, "absent.json"),
     ("taxonomy-validate-missing-file", ["taxonomy", "validate", "{tmp}/absent.txt"], 1, "absent.txt"),
@@ -340,6 +390,9 @@ MALFORMED = [
     ("prior-train-cond-dropout-1", ["prior", "train", "--corpus", "{tmp}/c.jsonl", "--out", "{out}", "--cond-dropout", "1"], 2, "--cond-dropout"),
     ("prior-train-objective", ["prior", "train", "--corpus", "{tmp}/c.jsonl", "--out", "{out}", "--objective", "gan"], 2, "--objective"),
     ("prior-sample-steps-0", ["prior", "sample", "--ckpt", "{ckpt}", "--atoms", "head:lion,body:horse", "--steps", "0", "--out", "{out}"], 2, "--steps"),
+    ("prior-sample-diffusion-steps-1001", ["prior", "sample", "--ckpt", "{ckpt}", "--atoms", "head:lion,body:horse",
+                                          "--objective", "diffusion", "--steps", "1001", "--out", "{out}"], 2,
+     "--steps must be <= 1000 for diffusion, got 1001"),
     ("prior-sample-atoms-one", ["prior", "sample", "--ckpt", "{ckpt}", "--atoms", "head:lion", "--out", "{out}"], 2, "--atoms"),
     ("prior-sample-atoms-five", ["prior", "sample", "--ckpt", "{ckpt}", "--atoms",
                                 "head:lion,body:horse,tail:fox,wings:eagle,legs:camel", "--out", "{out}"], 2, "--atoms"),
@@ -393,6 +446,9 @@ class TestMalformedInput:
         conf = tmp_path / "run.conf"
         conf.write_text("dim = 1\n", encoding="utf-8")
         (tmp_path / "a_dir").mkdir()
+        outside = tmp_path / "outside.txt"
+        outside.write_text("outside the run directory\n", encoding="utf-8")
+        outside_sha256 = hashlib.sha256(outside.read_bytes()).hexdigest()
         paths = {"tmp": str(tmp_path), "out": str(tmp_path / "out"), "ckpt": str(_tiny_checkpoint(tmp_path)), "conf": str(conf)}
         manifests = {
             "lacks_taxonomy": {"config": {k: v for k, v in PIPELINE_DEFAULTS.items() if k != "taxonomy"}},
@@ -400,6 +456,8 @@ class TestMalformedInput:
             "artifacts_list": {"artifacts": []},
             "config_list": {"config": [1]},
             "artifact_dir": {"artifacts": {"samples": {"path": "a_dir", "sha256": "0" * 64}}},
+            "artifact_absolute": {"artifacts": {"samples": {"path": str(outside), "sha256": outside_sha256}}},
+            "artifact_dotdot": {"artifacts": {"samples": {"path": "a_dir/../outside.txt", "sha256": outside_sha256}}},
         }
         report = {"metric": "parteval", "model": "prior", "complexity": 2, "per_sample": [], "final_score": 0.5}
         json_inputs = {

@@ -1,6 +1,7 @@
 """Run manifests: content hashing, round trips, and artifact verification."""
 
 import json
+import re
 
 import pytest
 
@@ -74,6 +75,23 @@ def test_load_rejects_wrong_field_types(run_dir, fields, text):
     path.write_text(json.dumps({"version": "0", "config": {}, "seeds": {}, "artifacts": {}, **fields}), encoding="utf-8")
     with pytest.raises(ParseError, match=text):
         load_manifest(path)
+
+
+@pytest.mark.parametrize("artifact_path", ["/etc/hostname", "../outside.txt", "sub/../../outside.txt", "sub/.."],
+                         ids=["absolute", "parent", "nested-parent", "trailing-parent"])
+def test_load_rejects_paths_outside_the_run_directory(run_dir, artifact_path):
+    path = run_dir / "escaping.json"
+    artifacts = {"corpus": {"path": artifact_path, "sha256": "0" * 64}}
+    path.write_text(json.dumps({"version": "0", "config": {}, "seeds": {}, "artifacts": artifacts}), encoding="utf-8")
+    with pytest.raises(ParseError, match=f"artifact 'corpus' path '{re.escape(artifact_path)}' leaves the run directory"):
+        load_manifest(path)
+
+
+def test_load_accepts_nested_paths_and_dotted_names(run_dir):
+    path = run_dir / "nested.json"
+    artifacts = {"corpus": {"path": "sub/corpus..jsonl", "sha256": "0" * 64}, "loss_curve": {"path": "./loss.csv", "sha256": "0" * 64}}
+    path.write_text(json.dumps({"version": "0", "config": {}, "seeds": {}, "artifacts": artifacts}), encoding="utf-8")
+    assert load_manifest(path)["artifacts"] == artifacts
 
 
 def test_load_rejects_non_object(run_dir):
