@@ -53,8 +53,9 @@ from .world import (
     condition_set,
     decode_parts,
     make_dataset,
-    save_dataset,
 )
+# unused: perfbench/tracing.py BOUNDARIES pins it until a benchmark PR moves the boundary (ROADMAP item 1)
+from .world import save_dataset  # noqa: F401
 
 OBJECTIVE_ALIASES = {"flow": "rectified_flow", "diffusion": "diffusion_prior"}
 
@@ -104,10 +105,12 @@ class UsageError(Exception):
 
 
 def _resolve_taxonomy(path_str: str) -> Taxonomy:
-    path = Path(path_str) if path_str else default_taxonomy_path()
-    if not path.exists():
-        raise UsageError(f"--taxonomy: file not found: {path}")
-    return load_taxonomy(path)
+    return load_taxonomy(Path(path_str) if path_str else default_taxonomy_path())
+
+
+def _refuse_same_file(flag_a: str, path_a: str, flag_b: str, path_b: str) -> None:
+    if path_a and path_b and Path(path_a).resolve() == Path(path_b).resolve():
+        raise UsageError(f"{flag_a} and {flag_b} name the same file: {path_b}")
 
 
 def check_config(values: dict, flags: dict[str, str] | None = None) -> dict:
@@ -136,6 +139,8 @@ def check_config(values: dict, flags: dict[str, str] | None = None) -> dict:
         config[key] = value
     if config["objective"] == "diffusion" and config["sample_steps"] > DIFFUSION_STEPS:
         raise UsageError(f"{flags.get('sample_steps', 'sample_steps')} must be <= {DIFFUSION_STEPS} for diffusion, got {config['sample_steps']}")
+    if config["taxonomy"] and not Path(config["taxonomy"]).exists():
+        raise UsageError(f"{flags.get('taxonomy', 'taxonomy')}: file not found: {config['taxonomy']}")
     return config
 
 
@@ -254,6 +259,7 @@ def cmd_corpus_gen(args) -> int:
 
 
 def cmd_prior_train(args) -> int:
+    _refuse_same_file("--out", args.out, "--loss-csv", args.loss_csv)
     config = _subcommand_config(args)
     taxonomy = _resolve_taxonomy(config["taxonomy"])
     dataset = make_dataset(read_corpus(args.corpus), taxonomy, _world(taxonomy, config))
@@ -274,12 +280,13 @@ def _sample_record_json(prompt_id, atoms, generated, target, decoded) -> dict:
 
 
 def cmd_prior_sample(args) -> int:
+    if (args.prompt_id is None) == (args.atoms is None):
+        raise UsageError("exactly one of --prompt-id or --atoms is required")
+    _refuse_same_file("--ckpt", args.ckpt, "--out", args.out)
     config = _subcommand_config(args)
     taxonomy = _resolve_taxonomy(config["taxonomy"])
     world = _world(taxonomy, config)
     net, _ = load_checkpoint(args.ckpt)
-    if (args.prompt_id is None) == (args.atoms is None):
-        raise UsageError("exactly one of --prompt-id or --atoms is required")
     if args.prompt_id is not None:
         if not args.corpus:
             raise UsageError("--prompt-id needs --corpus to look the prompt up in")
@@ -454,8 +461,6 @@ def _run_pipeline(config: dict, out_dir: Path) -> int:
 
         stage = "dataset"
         dataset = make_dataset(read_corpus(artifacts["corpus"]), taxonomy, world)
-        artifacts["dataset"] = out_dir / "dataset.bin"
-        save_dataset(dataset, artifacts["dataset"], world)
 
         stage = "train"
         artifacts["checkpoint"] = out_dir / "checkpoint.bin"
@@ -491,8 +496,7 @@ def cmd_pipeline_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if Path(args.out_csv).resolve() == Path(args.out_svg).resolve():
-        raise UsageError(f"--out-csv and --out-svg name the same file: {args.out_svg}")
+    _refuse_same_file("--out-csv", args.out_csv, "--out-svg", args.out_svg)
     reports = [load_report(p) for p in args.reports]
     complexity_report(reports, args.out_csv, args.out_svg)
     print(f"wrote {args.out_csv} and {args.out_svg}")

@@ -1,5 +1,5 @@
 """Exception types shared across the package, the length-checked read that
-turns a short binary file into a ParseError, and the UTF-8 decode that turns
+turns a short checkpoint into a ParseError, and the UTF-8 decode that turns
 a bad byte in a text file into one."""
 
 import os
@@ -67,16 +67,16 @@ def decode_utf8(data: bytes, path, offset: int = 0) -> str:
         raise ParseError(f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {offset + exc.start}") from None
 
 
-def exact_reader(fh, path, kind: str):
-    """read(n) on a binary file that returns exactly n bytes, or raises
-    ParseError naming the ``kind`` of file (checkpoint, dataset) as truncated;
-    a request for more bytes than remain is refused before it is read."""
+def exact_reader(fh, path):
+    """read(n) on a checkpoint file that returns exactly n bytes, or raises
+    ParseError naming the file as a truncated checkpoint; a request for more
+    bytes than remain is refused before it is read."""
     size = os.fstat(fh.fileno()).st_size
 
     def read(n: int) -> bytes:
         offset = fh.tell()
         if n > size - offset:
-            raise ParseError(f"{path}: truncated {kind}: wanted {n} bytes at offset {offset}, got {size - offset}")
+            raise ParseError(f"{path}: truncated checkpoint: wanted {n} bytes at offset {offset}, got {size - offset}")
         return fh.read(n)
 
     return read

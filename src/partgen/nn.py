@@ -260,7 +260,7 @@ def load_checkpoint(path: str | Path) -> tuple[DenseNet, AdamState | None]:
     except OSError as exc:
         raise ParseError(f"cannot read checkpoint {path}: {exc}") from exc
     with fh:
-        read = exact_reader(fh, path, "checkpoint")
+        read = exact_reader(fh, path)
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ParseError(f"{path}: not a checkpoint file")
         (version,) = struct.unpack("<I", read(4))

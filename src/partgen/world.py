@@ -31,16 +31,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError, UnknownAtom, ValidationError, exact_reader
+from .errors import DimensionMismatch, UnknownAtom, ValidationError
 from .hashing import tagged_seed
 from .taxonomy import MAX_ATOMS_PER_PROMPT, MIN_ATOMS_PER_PROMPT, HybridPrompt, SemanticAtom, Taxonomy, enumerate_atoms
 
 DEFAULT_WORLD_SEED = 8
 DEFAULT_DIM = 64
 SLOT_COUNT = MAX_ATOMS_PER_PROMPT
-
-DATASET_MAGIC = b"PGDS"
-DATASET_VERSION = 1
 
 # decode ladder settings
 _MAX_SINGLE_SWEEPS = 8
@@ -311,6 +308,12 @@ def make_dataset(
     return list(zip(conds, compose_targets(conds, world)))
 
 
+# unused: perfbench/tracing.py BOUNDARIES pins save_dataset (as partgen.cli's)
+# until a benchmark PR moves the boundary (ROADMAP item 1)
+DATASET_MAGIC = b"PGDS"
+DATASET_VERSION = 1
+
+
 def save_dataset(pairs: Sequence[tuple[ConditionSet, np.ndarray]], path: str | Path, world: WorldSpec) -> None:
     """Binary cache: header {magic, version, d, count}, then per record the
     slot count, the atom indices, and the float32 target row (little-endian).
@@ -323,33 +326,3 @@ def save_dataset(pairs: Sequence[tuple[ConditionSet, np.ndarray]], path: str | P
             fh.write(struct.pack("<B", cond.k))
             fh.write(struct.pack(f"<{cond.k}I", *indices))
             fh.write(np.asarray(target, dtype="<f4").tobytes())
-
-
-def load_dataset(path: str | Path, world: WorldSpec) -> list[tuple[ConditionSet, np.ndarray]]:
-    """Read a cache written by save_dataset; targets come back float32-rounded."""
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise ParseError(f"cannot read dataset {path}: {exc}") from exc
-    with fh:
-        read = exact_reader(fh, path, "dataset")
-        magic = fh.read(4)
-        if magic != DATASET_MAGIC:
-            raise ParseError(f"{path}: bad dataset magic {magic!r}")
-        version, d, count = struct.unpack("<IIQ", read(16))
-        if version != DATASET_VERSION:
-            raise ParseError(f"{path}: unsupported dataset version {version}")
-        if d != world.d:
-            raise DimensionMismatch(f"{path}: dataset dim {d} != world dim {world.d}")
-        pairs = []
-        for _ in range(count):
-            (k,) = struct.unpack("<B", read(1))
-            if not (MIN_ATOMS_PER_PROMPT <= k <= SLOT_COUNT):
-                raise ParseError(f"{path}: record slot count {k} is outside [{MIN_ATOMS_PER_PROMPT}, {SLOT_COUNT}] at offset {fh.tell() - 1}")
-            indices = struct.unpack(f"<{k}I", read(4 * k))
-            if max(indices) >= len(world.atoms):
-                raise ParseError(f"{path}: atom index {max(indices)} is out of range for {len(world.atoms)} atoms")
-            target = np.frombuffer(read(4 * d), dtype="<f4").astype(np.float64)
-            atoms = [world.atoms[i] for i in indices]
-            pairs.append((condition_set(atoms, world), target))
-    return pairs

@@ -17,7 +17,7 @@ import pytest
 from partgen.cli import main as cli_main, run_eval_stage
 from partgen.prior import TrainConfig, train
 from partgen.taxonomy import Taxonomy, load_default_taxonomy, read_corpus
-from partgen.world import DEFAULT_DIM, DEFAULT_WORLD_SEED, WorldSpec, load_dataset
+from partgen.world import DEFAULT_DIM, DEFAULT_WORLD_SEED, WorldSpec, make_dataset
 
 # acceptance criterion registry, printed once at the end of the run
 CRITERIA: dict[int, tuple[bool, str]] = {}
@@ -98,11 +98,12 @@ class DiffusionEval:
 
 
 @pytest.fixture(scope="session")
-def diffusion_eval(pipeline_run, world, tmp_path_factory) -> DiffusionEval:
-    """Diffusion objective trained on the same 10k-pair dataset as the flow
-    run, then scored by the eval stage, with the flow run's config, on the
-    same held-out condition sets."""
-    dataset = load_dataset(pipeline_run.out_dir / "dataset.bin", world)
+def diffusion_eval(pipeline_run, taxonomy, world, tmp_path_factory) -> DiffusionEval:
+    """Diffusion objective trained on the same 10k pairs as the flow run,
+    built from its corpus as its train stage built them, then scored by the
+    eval stage, with the flow run's config, on the same held-out condition
+    sets."""
+    dataset = make_dataset(read_corpus(pipeline_run.out_dir / "corpus.jsonl"), taxonomy, world)
     config = TrainConfig(objective="diffusion_prior", steps=20000, seed=42)
     start = time.monotonic()
     result = train(config, dataset)

@@ -88,11 +88,6 @@ class TestExitCodes:
         assert code == 2
         assert "unknown config key" in capsys.readouterr().err
 
-    def test_missing_taxonomy_is_usage_error_naming_flag(self, tmp_path, capsys):
-        code = main(["pipeline", "run", "--out", str(tmp_path / "r"), "--set", "taxonomy=/absent.txt"])
-        assert code == 2
-        assert "--taxonomy" in capsys.readouterr().err
-
     def test_runtime_failure_is_exit_one(self, tmp_path, capsys):
         code = main(["corpus", "gen", "--n", "5", "--out", str(tmp_path / "c.jsonl"),
                      "--taxonomy", str(tmp_path / "nonexistent.txt")])
@@ -298,6 +293,18 @@ class TestReportCommand:
 TINY_RUN = ["--set", "n_train=50", "--set", "steps=5", "--set", "n_eval=4"]
 
 
+class TestPipelineRun:
+    def test_run_writes_ten_artifacts_and_the_manifest(self, tmp_path):
+        # the training pairs are a function of the corpus and the world, so no run writes them a second time
+        run = tmp_path / "run"
+        assert main(["pipeline", "run", "--out", str(run), *TINY_RUN]) == 0
+        artifacts = json.loads((run / "manifest.json").read_text(encoding="utf-8"))["artifacts"]
+        assert sorted(artifacts) == ["checkpoint", "corpus", "eval_corpus", "loss_curve", "metrics_chart",
+                                     "parteval_2part", "parteval_3part", "parteval_4part", "report", "samples"]
+        assert sorted(p.name for p in run.iterdir()) == sorted([entry["path"] for entry in artifacts.values()] + ["manifest.json"])
+        assert not (run / "dataset.bin").exists()
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     """A default-config pipeline run, scaled down; returns its manifest."""
@@ -346,7 +353,7 @@ class TestRerunDivergence:
         shutil.move(checkout_a, checkout_b)
         rerun = partgen(checkout_b, "pipeline", "rerun", "--manifest", str(tmp_path / "run" / "manifest.json"),
                         "--out", str(tmp_path / "rerun"))
-        assert rerun.returncode == 0 and "rerun verified: all 11 artifact digests match" in rerun.stdout, rerun.stderr
+        assert rerun.returncode == 0 and "rerun verified: all 10 artifact digests match" in rerun.stdout, rerun.stderr
 
 
 def _tiny_checkpoint(tmp_path):
@@ -355,10 +362,15 @@ def _tiny_checkpoint(tmp_path):
     return ckpt
 
 
+def _tree(root):
+    """Every path under ``root``, with a file's bytes."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
 # (id, argv, exit code, text the one stderr line must hold). {tmp} is the
 # test's directory, {out} a path in it that must not exist afterwards, and
 # {ckpt}, {conf}, {manifest_*}, {report*} and {corpus*} are inputs the test
-# writes there first.
+# writes there first, which must not change.
 MALFORMED = [
     ("run-n-eval-0", ["pipeline", "run", "--out", "{out}", "--set", "n_eval=0"], 2, "n_eval"),
     ("run-n-eval-1", ["pipeline", "run", "--out", "{out}", "--set", "n_eval=1"], 2, "n_eval"),
@@ -368,6 +380,13 @@ MALFORMED = [
     ("run-train-seed-negative", ["pipeline", "run", "--out", "{out}", "--set", "train_seed=-1"], 2, "train_seed"),
     ("run-set-without-value", ["pipeline", "run", "--out", "{out}", "--set", "steps"], 2, "--set"),
     ("run-config-dim-1", ["pipeline", "run", "--out", "{out}", "--config", "{conf}"], 2, "dim"),
+    # a missing taxonomy is named as the caller gave it: by the subcommand's flag, or by the config key
+    ("corpus-gen-taxonomy-missing", ["corpus", "gen", "--taxonomy", "{tmp}/absent.txt", "--n", "5", "--out", "{out}"], 2,
+     "usage error: --taxonomy: file not found: "),
+    ("run-set-taxonomy-missing", ["pipeline", "run", "--out", "{out}", "--set", "taxonomy={tmp}/absent.txt"], 2,
+     "usage error: taxonomy: file not found: "),
+    ("rerun-taxonomy-missing", ["pipeline", "rerun", "--manifest", "{manifest_taxonomy_missing}", "--out", "{out}"], 2,
+     "usage error: taxonomy: file not found: "),
     ("run-diffusion-sample-steps-1001", ["pipeline", "run", "--out", "{out}", "--set", "objective=diffusion",
                                         "--set", "sample_steps=1001"], 2, "sample_steps must be <= 1000 for diffusion, got 1001"),
     ("rerun-lacks-taxonomy", ["pipeline", "rerun", "--manifest", "{manifest_lacks_taxonomy}", "--out", "{out}"], 2, "taxonomy"),
@@ -396,6 +415,13 @@ MALFORMED = [
     ("prior-sample-atoms-one", ["prior", "sample", "--ckpt", "{ckpt}", "--atoms", "head:lion", "--out", "{out}"], 2, "--atoms"),
     ("prior-sample-atoms-five", ["prior", "sample", "--ckpt", "{ckpt}", "--atoms",
                                 "head:lion,body:horse,tail:fox,wings:eagle,legs:camel", "--out", "{out}"], 2, "--atoms"),
+    ("prior-sample-no-selector-missing-ckpt", ["prior", "sample", "--ckpt", "{tmp}/absent.bin", "--out", "{out}"], 2,
+     "exactly one of --prompt-id or --atoms"),
+    # an output that would overwrite an input or another output
+    ("prior-train-same-output", ["prior", "train", "--corpus", "{corpus}", "--out", "{ckpt}", "--loss-csv", "{tmp}/a_dir/../net.bin",
+                                 "--steps", "1"], 2, "--out and --loss-csv name the same file"),
+    ("prior-sample-same-output", ["prior", "sample", "--ckpt", "{ckpt}", "--atoms", "head:lion,body:horse", "--steps", "2",
+                                  "--out", "{tmp}/a_dir/../net.bin"], 2, "--ckpt and --out name the same file"),
     ("prior-sample-cfg-nan", ["prior", "sample", "--ckpt", "{ckpt}", "--atoms", "head:lion,body:horse", "--cfg", "nan", "--out", "{out}"], 2, "--cfg"),
     ("eval-kid-subsets-1", ["eval", "--ckpt", "{ckpt}", "--out-dir", "{out}", "--kid-subsets", "1"], 2, "--kid-subsets"),
     ("eval-sample-steps-0", ["eval", "--ckpt", "{ckpt}", "--out-dir", "{out}", "--sample-steps", "0"], 2, "--sample-steps"),
@@ -452,6 +478,7 @@ class TestMalformedInput:
         paths = {"tmp": str(tmp_path), "out": str(tmp_path / "out"), "ckpt": str(_tiny_checkpoint(tmp_path)), "conf": str(conf)}
         manifests = {
             "lacks_taxonomy": {"config": {k: v for k, v in PIPELINE_DEFAULTS.items() if k != "taxonomy"}},
+            "taxonomy_missing": {"config": {**PIPELINE_DEFAULTS, "taxonomy": str(tmp_path / "absent.txt")}},
             "steps_0": {"config": {**PIPELINE_DEFAULTS, "steps": 0}},
             "artifacts_list": {"artifacts": []},
             "config_list": {"config": [1]},
@@ -492,11 +519,11 @@ class TestMalformedInput:
         for name, lines in corpora.items():
             paths[name] = str(tmp_path / f"{name}.jsonl")
             (tmp_path / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
-        before = sorted(tmp_path.rglob("*"))
+        before = _tree(tmp_path)
         assert main([arg.format(**paths) for arg in argv]) == code
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and text in err[0], err
-        assert sorted(tmp_path.rglob("*")) == before
+        assert _tree(tmp_path) == before
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,13 +1,11 @@
-"""Synthetic embedding world: rotations, composition, decoding, dataset IO."""
-
-import struct
+"""Synthetic embedding world: rotations, composition, decoding, training pairs."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partgen.errors import DimensionMismatch, ParseError, UnknownAtom, ValidationError
+from partgen.errors import DimensionMismatch, UnknownAtom, ValidationError
 from partgen.taxonomy import SemanticAtom, generate_corpus, parse_taxonomy
 from partgen.world import (
     DEFAULT_DIM,
@@ -18,9 +16,7 @@ from partgen.world import (
     compose_targets,
     condition_set,
     decode_parts,
-    load_dataset,
     make_dataset,
-    save_dataset,
 )
 from partgen.world import _PAIR_TOP, _pair_sweep
 
@@ -320,49 +316,3 @@ class TestDataset:
         records[1].atoms[0] = ghost
         with pytest.raises(UnknownAtom, match=rf"^record {records[1].id}: atom \({ghost.part}, unicorn\)"):
             make_dataset(records, taxonomy, world)
-
-    def test_save_load_round_trip(self, taxonomy, world, tmp_path):
-        pairs = make_dataset(list(generate_corpus(taxonomy, 25, master_seed=5)), taxonomy, world)
-        path = tmp_path / "dataset.bin"
-        save_dataset(pairs, path, world)
-        loaded = load_dataset(path, world)
-        assert len(loaded) == len(pairs)
-        for (cond_a, target_a), (cond_b, target_b) in zip(pairs, loaded):
-            assert [a.key for a in cond_a.atoms] == [a.key for a in cond_b.atoms]
-            assert np.array_equal(target_a.astype(np.float32), target_b.astype(np.float32))
-
-    def test_load_rejects_wrong_magic(self, world, tmp_path):
-        path = tmp_path / "bogus.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ParseError):
-            load_dataset(path, world)
-
-    @pytest.fixture
-    def saved(self, taxonomy, world, tmp_path):
-        path = tmp_path / "dataset.bin"
-        save_dataset(make_dataset(list(generate_corpus(taxonomy, 3, master_seed=6)), taxonomy, world), path, world)
-        return path
-
-    # header (magic, version, d, count: 20 bytes): inside the version and
-    # the count; first record (slot count, atom indices, target row): its
-    # slot count, first atom index and target row; the file's last byte
-    @pytest.mark.parametrize("cut", [6, 14, 20, 24, 40, -1])
-    def test_truncated_file_is_parse_error(self, world, saved, cut):
-        saved.write_bytes(saved.read_bytes()[:cut])
-        with pytest.raises(ParseError, match="truncated dataset"):
-            load_dataset(saved, world)
-
-    def test_atom_index_out_of_range_is_parse_error(self, world, saved):
-        data = bytearray(saved.read_bytes())
-        data[21:25] = struct.pack("<I", len(world.atoms))  # first atom index of the first record
-        saved.write_bytes(bytes(data))
-        with pytest.raises(ParseError, match="out of range"):
-            load_dataset(saved, world)
-
-    @pytest.mark.parametrize("k", [0, 1, SLOT_COUNT + 1])
-    def test_bad_slot_count_is_parse_error(self, world, saved, k):
-        data = bytearray(saved.read_bytes())
-        data[20] = k  # slot count of the first record
-        saved.write_bytes(bytes(data))
-        with pytest.raises(ParseError, match="slot count"):
-            load_dataset(saved, world)
