@@ -108,9 +108,19 @@ def _resolve_taxonomy(path_str: str) -> Taxonomy:
     return load_taxonomy(Path(path_str) if path_str else default_taxonomy_path())
 
 
-def _refuse_same_file(flag_a: str, path_a: str, flag_b: str, path_b: str) -> None:
-    if path_a and path_b and Path(path_a).resolve() == Path(path_b).resolve():
-        raise UsageError(f"{flag_a} and {flag_b} name the same file: {path_b}")
+def _refuse_same_file(args, inputs: list[str], outputs: list[str]) -> None:
+    """Usage error when an output flag names the file of an input flag or
+    of an earlier output flag, compared after Path.resolve(); a flag left
+    empty names no file. Callers run it before they read or write."""
+    seen: dict[Path, str] = {}
+    for flag in inputs + outputs:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if not path:
+            continue
+        key = Path(path).resolve()
+        if key in seen and flag in outputs:
+            raise UsageError(f"{seen[key]} and {flag} name the same file: {path}")
+        seen.setdefault(key, flag)
 
 
 def check_config(values: dict, flags: dict[str, str] | None = None) -> dict:
@@ -251,6 +261,7 @@ def cmd_taxonomy_validate(args) -> int:
 
 
 def cmd_corpus_gen(args) -> int:
+    _refuse_same_file(args, ["--taxonomy"], ["--out"])
     config = _subcommand_config(args)
     taxonomy = _resolve_taxonomy(config["taxonomy"])
     count = write_corpus(_corpus(taxonomy, config), args.out)
@@ -259,7 +270,7 @@ def cmd_corpus_gen(args) -> int:
 
 
 def cmd_prior_train(args) -> int:
-    _refuse_same_file("--out", args.out, "--loss-csv", args.loss_csv)
+    _refuse_same_file(args, ["--corpus", "--taxonomy"], ["--out", "--loss-csv"])
     config = _subcommand_config(args)
     taxonomy = _resolve_taxonomy(config["taxonomy"])
     dataset = make_dataset(read_corpus(args.corpus), taxonomy, _world(taxonomy, config))
@@ -282,7 +293,7 @@ def _sample_record_json(prompt_id, atoms, generated, target, decoded) -> dict:
 def cmd_prior_sample(args) -> int:
     if (args.prompt_id is None) == (args.atoms is None):
         raise UsageError("exactly one of --prompt-id or --atoms is required")
-    _refuse_same_file("--ckpt", args.ckpt, "--out", args.out)
+    _refuse_same_file(args, ["--ckpt", "--corpus", "--taxonomy"], ["--out"])
     config = _subcommand_config(args)
     taxonomy = _resolve_taxonomy(config["taxonomy"])
     world = _world(taxonomy, config)
@@ -496,7 +507,7 @@ def cmd_pipeline_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    _refuse_same_file("--out-csv", args.out_csv, "--out-svg", args.out_svg)
+    _refuse_same_file(args, [], ["--out-csv", "--out-svg"])
     reports = [load_report(p) for p in args.reports]
     complexity_report(reports, args.out_csv, args.out_svg)
     print(f"wrote {args.out_csv} and {args.out_svg}")

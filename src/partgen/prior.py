@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import NonFiniteLoss, ValidationError
-from .hashing import combine_seed
+from .hashing import combine_seed, combine_seeds, seeded_generators
 from .nn import AdamState, DenseNet, Gradients, adam_step, backward, forward
 from .world import SLOT_COUNT, ConditionSet, slot_rows
 
@@ -305,7 +305,7 @@ def _sample(objective: str, net, conds: Sequence[ConditionSet], d: int, n_steps:
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     blocks, masks = condition_features(conds, d)
-    x = np.stack([np.random.default_rng(combine_seed(seed, i)).standard_normal(d) for i in range(len(conds))])
+    x = np.stack([rng.standard_normal(d) for rng in seeded_generators(combine_seeds(seed, range(len(conds))))])
     for tau, update in _OBJECTIVES[objective][2](n_steps):
         x = update(x, _guided(net, x, np.full(len(conds), tau), blocks, masks, cfg_scale))
     return x / np.linalg.norm(x, axis=1, keepdims=True)

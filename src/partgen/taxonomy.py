@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InsufficientAtoms, ParseError, ValidationError, decode_utf8
-from .hashing import combine_seed, derive_seeds
+from .hashing import combine_seeds, derive_seeds, seeded_generators
 
 DOMAIN_NAMES = ("creature", "vehicle", "furniture", "plant", "electronics", "instrument")
 MIN_ATOMS_PER_PROMPT = 2
@@ -272,8 +272,9 @@ def render_prompt(prefix: str, atoms: Sequence[SemanticAtom]) -> str:
     return f"{prefix} with {joined}."
 
 
-def _draw_record(taxonomy: Taxonomy, pools: AtomPools, index: int, master_seed: int, mix_ratio: float) -> tuple[str, bool, list[SemanticAtom], str]:
-    """Prefix, domain-mix flag, atoms and text of record ``index``, from its own seed.
+def _draw_record(taxonomy: Taxonomy, pools: AtomPools, rng: np.random.Generator, mix_ratio: float) -> tuple[str, bool, list[SemanticAtom], str]:
+    """Prefix, domain-mix flag, atoms and text of a record, from its own
+    generator, seeded with ``combine_seed(master_seed, index)``.
 
     The draw order within the per-item generator is fixed: k, then the
     domain-mix coin, then the domain index of a single-domain record, then
@@ -281,7 +282,6 @@ def _draw_record(taxonomy: Taxonomy, pools: AtomPools, index: int, master_seed: 
     order. Changing it would silently change every corpus, so it is part of
     the format.
     """
-    rng = np.random.default_rng(combine_seed(master_seed, index))
     k = int(rng.integers(MIN_ATOMS_PER_PROMPT, MAX_ATOMS_PER_PROMPT + 1))
     mix = bool(rng.random() < mix_ratio)
     atoms = pools.sample(rng, k, mix_domains=mix)
@@ -295,35 +295,58 @@ def generate_corpus(
     master_seed: int,
     mix_ratio: float = 0.5,
 ) -> Iterator[HybridPrompt]:
-    """Yield records 0..n-1, hashed per block; output depends only on the arguments."""
+    """Yield records 0..n-1, seeded and hashed per block; output depends only on the arguments."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not (0.0 <= mix_ratio <= 1.0):
         raise ValueError("mix_ratio must be within [0, 1]")
-    pools = AtomPools(taxonomy)
+    pools, render = AtomPools(taxonomy), RenderConfig()
     for start in range(0, n, CORPUS_BLOCK):
-        drawn = [_draw_record(taxonomy, pools, i, master_seed, mix_ratio) for i in range(start, min(start + CORPUS_BLOCK, n))]
+        rngs = seeded_generators(combine_seeds(master_seed, range(start, min(start + CORPUS_BLOCK, n))))
+        drawn = [_draw_record(taxonomy, pools, rng, mix_ratio) for rng in rngs]
         seeds = derive_seeds([text for *_, text in drawn])
         for i, (prefix, mix, atoms, text), seed in zip(range(start, n), drawn, seeds):
-            yield HybridPrompt(id=i, prefix=prefix, domain_mix=mix, atoms=atoms, text=text, seed=seed, render=RenderConfig())
+            yield HybridPrompt(id=i, prefix=prefix, domain_mix=mix, atoms=atoms, text=text, seed=seed, render=render)
+
+
+# a corpus line, json.dumps(record.to_dict()) of a HybridPrompt, with each
+# field's JSON in its slot
+_CORPUS_LINE = '{{"id": {}, "prefix": {}, "domain_mix": {}, "atoms": [{}], "text": {}, "seed": {}, "render": {}}}\n'
 
 
 def write_corpus(records: Iterable[HybridPrompt], path: str | Path) -> int:
-    """Write JSONL, one record per line; returns the record count."""
+    """Write JSONL, one record per line; returns the record count. A prefix,
+    atom or render config object that records share is dumped once."""
+    # id -> (the object, kept alive so its id stays its own; its JSON). Keyed
+    # by identity, not equality, since RenderConfig(steps=50) == RenderConfig(steps=50.0).
+    fragments: dict[int, tuple[object, str]] = {}
+
+    def dumped(value, as_dict: bool = False) -> str:
+        hit = fragments.get(id(value))
+        if hit is None:
+            hit = fragments[id(value)] = (value, json.dumps(value.to_dict() if as_dict else value))
+        return hit[1]
+
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record.to_dict()))
-            fh.write("\n")
+            fh.write(_CORPUS_LINE.format(
+                record.id, dumped(record.prefix), dumped(record.domain_mix),
+                ", ".join([dumped(a, as_dict=True) for a in record.atoms]), json.dumps(record.text), record.seed,
+                dumped(record.render, as_dict=True),
+            ))
             count += 1
     return count
 
 
 def read_corpus(path: str | Path) -> list[HybridPrompt]:
-    """The records of a JSONL corpus. Each distinct atom is built, and so
-    checked, once per call; a bad record is a ParseError naming its line."""
+    """The records of a JSONL corpus. Each distinct atom and render dict is
+    built, and so checked, once per call; a bad record is a ParseError
+    naming its line."""
     records = []
     atoms: dict[tuple[str, str, str], SemanticAtom] = {}
+    renders: dict[tuple, RenderConfig] = {}
+    decode = json.JSONDecoder().decode
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -336,13 +359,18 @@ def read_corpus(path: str | Path) -> list[HybridPrompt]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = decode(line)
                 keys = [(a["part"], a["subject"], a["domain"]) for a in obj["atoms"]]
                 if not MIN_ATOMS_PER_PROMPT <= len(keys) <= MAX_ATOMS_PER_PROMPT:
                     raise ValueError(f"a record holds {MIN_ATOMS_PER_PROMPT}-{MAX_ATOMS_PER_PROMPT} atoms, got {len(keys)}")
                 for key in keys:
                     if key not in atoms:
                         atoms[key] = SemanticAtom(*key)
+                render = obj["render"]
+                # the value types are in the key, so 50 and 50.0 stay apart
+                render_key = (*render.items(), *map(type, render.values()))
+                if render_key not in renders:
+                    renders[render_key] = RenderConfig(**render)
                 records.append(
                     HybridPrompt(
                         id=int(obj["id"]),
@@ -351,7 +379,7 @@ def read_corpus(path: str | Path) -> list[HybridPrompt]:
                         atoms=[atoms[key] for key in keys],
                         text=obj["text"],
                         seed=int(obj["seed"]),
-                        render=RenderConfig(**obj["render"]),
+                        render=renders[render_key],
                     )
                 )
             except (ValueError, KeyError, TypeError, AttributeError, ValidationError) as exc:

@@ -2,11 +2,12 @@
 and an exact decoder.
 
 Every atom gets a deterministic unit Gaussian vector keyed by (world_seed,
-domain, part, subject). A composite target for an ordered condition set is
-normalize(sum_i R_i e_i) with four fixed orthogonal slot rotations, which
-makes composition order-sensitive and leaves the atoms recoverable from the
-target; many targets are composed slot by slot, with a per-set loop's bits.
-Recovery maximizes cosine(e, normalize(sum_i R_i e_{a_i})) over atom
+domain, part, subject), and each slot a rotation keyed by its index; their
+generators are seeded a batch at a time. A composite target for an ordered
+condition set is normalize(sum_i R_i e_i) with four fixed orthogonal slot
+rotations, which makes composition order-sensitive and leaves the atoms
+recoverable from the target; many targets are composed slot by slot, with a
+per-set loop's bits. Recovery maximizes cosine(e, normalize(sum_i R_i e_{a_i})) over atom
 tuples; independent per-slot argmax alone is not reliable at d=64 (slot
 cross-talk flips roughly a third of 4-slot tuples), so decode_parts runs an
 escalation ladder that ends in an exact joint search over per-slot
@@ -32,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, UnknownAtom, ValidationError
-from .hashing import tagged_seed
+from .hashing import seeded_generators, tagged_seeds
 from .taxonomy import MAX_ATOMS_PER_PROMPT, MIN_ATOMS_PER_PROMPT, HybridPrompt, SemanticAtom, Taxonomy, enumerate_atoms
 
 DEFAULT_WORLD_SEED = 8
@@ -47,18 +48,19 @@ _PAIR_TOP = 16
 _EXACT_OBJECTIVE = 1.0 - 1e-9
 
 
-def _rotation(world_seed: int, slot: int, d: int) -> np.ndarray:
-    rng = np.random.default_rng(tagged_seed(world_seed, f"rotation|{slot}"))
+def _rotation(rng: np.random.Generator, d: int) -> np.ndarray:
     a = rng.standard_normal((d, d))
     q, r = np.linalg.qr(a)
     # fix the sign ambiguity of QR so the rotation is reproducible
     return q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
 
 
-def _atom_vector(world_seed: int, atom: SemanticAtom, d: int) -> np.ndarray:
-    rng = np.random.default_rng(tagged_seed(world_seed, f"atom|{atom.domain}|{atom.part}|{atom.subject}"))
-    v = rng.standard_normal(d)
-    return v / np.linalg.norm(v)
+def _atom_vectors(world_seed: int, atoms: Sequence[SemanticAtom], d: int) -> np.ndarray:
+    """One unit Gaussian row per atom, each from its own tagged generator
+    and normalized by its own norm."""
+    tags = [f"atom|{a.domain}|{a.part}|{a.subject}" for a in atoms]
+    rows = [rng.standard_normal(d) for rng in seeded_generators(tagged_seeds(world_seed, tags))]
+    return np.stack([v / np.linalg.norm(v) for v in rows])
 
 
 class WorldSpec:
@@ -72,8 +74,9 @@ class WorldSpec:
         self.d = int(d)
         self.atoms = enumerate_atoms(taxonomy)
         self.atom_index = {(a.domain, a.part, a.subject): i for i, a in enumerate(self.atoms)}
-        self.rotations = [_rotation(self.world_seed, i, d) for i in range(SLOT_COUNT)]
-        self.embeddings = np.stack([_atom_vector(self.world_seed, a, d) for a in self.atoms])
+        tags = [f"rotation|{slot}" for slot in range(SLOT_COUNT)]
+        self.rotations = [_rotation(rng, d) for rng in seeded_generators(tagged_seeds(self.world_seed, tags))]
+        self.embeddings = _atom_vectors(self.world_seed, self.atoms, d)
         # rotated_embeddings[i][a] = R_i @ e_a, the per-slot score bases
         self.rotated_embeddings = [self.embeddings @ r.T for r in self.rotations]
         self._pair_grams: dict[tuple[int, int], np.ndarray] = {}

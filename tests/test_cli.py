@@ -72,6 +72,18 @@ def _main_under_1_gib(argv: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True, text=True, timeout=120)
 
 
+class TestStartUp:
+    def test_import_leaves_numpy_random_unloaded(self):
+        # the benchmark gates start-up time; the package loads numpy.random
+        # on its first seeded draw, never on import
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = "import sys, partgen.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+        result = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+
 class TestExitCodes:
     def test_taxonomy_validate_ok(self, capsys):
         assert main(["taxonomy", "validate", str(default_taxonomy_path())]) == 0
@@ -369,8 +381,8 @@ def _tree(root):
 
 # (id, argv, exit code, text the one stderr line must hold). {tmp} is the
 # test's directory, {out} a path in it that must not exist afterwards, and
-# {ckpt}, {conf}, {manifest_*}, {report*} and {corpus*} are inputs the test
-# writes there first, which must not change.
+# {ckpt}, {conf}, {taxonomy}, {manifest_*}, {report*} and {corpus*} are
+# inputs the test writes there first, which must not change.
 MALFORMED = [
     ("run-n-eval-0", ["pipeline", "run", "--out", "{out}", "--set", "n_eval=0"], 2, "n_eval"),
     ("run-n-eval-1", ["pipeline", "run", "--out", "{out}", "--set", "n_eval=1"], 2, "n_eval"),
@@ -422,6 +434,23 @@ MALFORMED = [
                                  "--steps", "1"], 2, "--out and --loss-csv name the same file"),
     ("prior-sample-same-output", ["prior", "sample", "--ckpt", "{ckpt}", "--atoms", "head:lion,body:horse", "--steps", "2",
                                   "--out", "{tmp}/a_dir/../net.bin"], 2, "--ckpt and --out name the same file"),
+    # an output that names an input, through a path that only resolve() matches
+    ("corpus-gen-taxonomy-is-out", ["corpus", "gen", "--taxonomy", "{taxonomy}", "--n", "3", "--out", "{tmp}/a_dir/../tax.txt"], 2,
+     "--taxonomy and --out name the same file"),
+    ("prior-train-corpus-is-out", ["prior", "train", "--corpus", "{corpus}", "--out", "{tmp}/a_dir/../corpus.jsonl", "--steps", "1"],
+     2, "--corpus and --out name the same file"),
+    ("prior-train-corpus-is-loss-csv", ["prior", "train", "--corpus", "{corpus}", "--out", "{out}",
+                                        "--loss-csv", "{tmp}/a_dir/../corpus.jsonl", "--steps", "1"], 2,
+     "--corpus and --loss-csv name the same file"),
+    ("prior-train-taxonomy-is-out", ["prior", "train", "--corpus", "{corpus}", "--taxonomy", "{taxonomy}",
+                                     "--out", "{tmp}/a_dir/../tax.txt", "--steps", "1"], 2, "--taxonomy and --out name the same file"),
+    ("prior-train-taxonomy-is-loss-csv", ["prior", "train", "--corpus", "{corpus}", "--taxonomy", "{taxonomy}", "--out", "{out}",
+                                          "--loss-csv", "{tmp}/a_dir/../tax.txt", "--steps", "1"], 2,
+     "--taxonomy and --loss-csv name the same file"),
+    ("prior-sample-corpus-is-out", ["prior", "sample", "--ckpt", "{ckpt}", "--corpus", "{corpus}", "--prompt-id", "0", "--steps", "2",
+                                    "--out", "{tmp}/a_dir/../corpus.jsonl"], 2, "--corpus and --out name the same file"),
+    ("prior-sample-taxonomy-is-out", ["prior", "sample", "--ckpt", "{ckpt}", "--taxonomy", "{taxonomy}", "--atoms", "head:lion,body:horse",
+                                      "--steps", "2", "--out", "{tmp}/a_dir/../tax.txt"], 2, "--taxonomy and --out name the same file"),
     ("prior-sample-cfg-nan", ["prior", "sample", "--ckpt", "{ckpt}", "--atoms", "head:lion,body:horse", "--cfg", "nan", "--out", "{out}"], 2, "--cfg"),
     ("eval-kid-subsets-1", ["eval", "--ckpt", "{ckpt}", "--out-dir", "{out}", "--kid-subsets", "1"], 2, "--kid-subsets"),
     ("eval-sample-steps-0", ["eval", "--ckpt", "{ckpt}", "--out-dir", "{out}", "--sample-steps", "0"], 2, "--sample-steps"),
@@ -475,7 +504,8 @@ class TestMalformedInput:
         outside = tmp_path / "outside.txt"
         outside.write_text("outside the run directory\n", encoding="utf-8")
         outside_sha256 = hashlib.sha256(outside.read_bytes()).hexdigest()
-        paths = {"tmp": str(tmp_path), "out": str(tmp_path / "out"), "ckpt": str(_tiny_checkpoint(tmp_path)), "conf": str(conf)}
+        paths = {"tmp": str(tmp_path), "out": str(tmp_path / "out"), "ckpt": str(_tiny_checkpoint(tmp_path)), "conf": str(conf),
+                 "taxonomy": str(shutil.copy(default_taxonomy_path(), tmp_path / "tax.txt"))}
         manifests = {
             "lacks_taxonomy": {"config": {k: v for k, v in PIPELINE_DEFAULTS.items() if k != "taxonomy"}},
             "taxonomy_missing": {"config": {**PIPELINE_DEFAULTS, "taxonomy": str(tmp_path / "absent.txt")}},

@@ -1,10 +1,21 @@
 """Seed derivation against published FNV-1a reference vectors."""
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from partgen.hashing import FNV_OFFSET_BASIS, combine_seed, derive_seeds, fnv1a_64, fnv1a_64_many, tagged_seed
+from partgen.hashing import (
+    FNV_OFFSET_BASIS,
+    combine_seed,
+    combine_seeds,
+    derive_seeds,
+    fnv1a_64,
+    fnv1a_64_many,
+    seeded_generators,
+    tagged_seed,
+    tagged_seeds,
+)
 
 
 def test_empty_input_is_offset_basis():
@@ -71,3 +82,34 @@ def test_tagged_seed_separates_streams():
     base = 123456789
     assert tagged_seed(base, "atom") != tagged_seed(base, "rotation")
     assert tagged_seed(base, "atom") == tagged_seed(base, "atom")
+
+
+@given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 2**64 - 1), max_size=20))
+def test_bulk_seeds_match_scalar(master, indices):
+    assert combine_seeds(master, indices) == [combine_seed(master, i) for i in indices]
+    tags = [f"atom|creature|head|{i}" for i in indices] + ["", "rotation|0", "ü|日本"]
+    assert tagged_seeds(master, tags) == [tagged_seed(master, t) for t in tags]
+
+
+# the one-word and two-word entropy cases and their edges
+_SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=12))
+@example(_SEED_EDGES)
+def test_seeded_generators_are_default_rng(seeds):
+    generators = list(seeded_generators(seeds))
+    assert len(generators) == len(seeds)
+    for seed, rng in zip(seeds, generators):
+        reference = np.random.default_rng(seed)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert int(rng.integers(2, 5)) == int(reference.integers(2, 5))
+        assert rng.random() == reference.random()
+        assert rng.standard_normal(3).tobytes() == reference.standard_normal(3).tobytes()
+
+
+def test_seeded_generators_are_independent_objects():
+    a, b = seeded_generators([7, 7])
+    a.random()
+    assert a.bit_generator.state != b.bit_generator.state
+    assert b.bit_generator.state == np.random.default_rng(7).bit_generator.state

@@ -1,6 +1,7 @@
 """Taxonomy parsing, validation, prompt rendering, and corpus generation."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 
@@ -346,6 +347,44 @@ class TestCorpus:
         path = tmp_path / "corpus.jsonl"
         path.write_bytes(b"".join(json.dumps(r.to_dict()).encode("utf-8") + b"\r\n" for r in records))
         assert read_corpus(path) == records
+
+    def test_writer_lines_are_json_dumps_of_each_record(self, taxonomy, tmp_path):
+        # tokens that JSON escapes: a quote, a backslash and non-ASCII text
+        edited = copy.deepcopy(taxonomy)
+        edited.domains[0].prefix = 'A "quoted" cr\u00e9ature \\ \u65e5\u672c'
+        for domain in edited.domains:
+            domain.parts[0].part_name = 'ha"t\\'
+            domain.parts[1].subjects[:3] = ["caf\u00e9", "b\\ck", "\u65e5\u672c"]
+        records = list(generate_corpus(edited, 300, master_seed=21))
+        records[1] = dataclasses.replace(records[1], render=RenderConfig(512, 20, 7.5, 1.0), domain_mix=True)
+        records[2] = dataclasses.replace(records[2], text="line\nbreak \x00 \u2028 \U0001f600", seed=2**64 - 1, id=0)
+        assert {'ha"t\\', "caf\u00e9", "b\\ck"} <= {t for r in records for a in r.atoms for t in (a.part, a.subject)}
+        path = tmp_path / "corpus.jsonl"
+        assert write_corpus(records, path) == len(records)
+        assert path.read_text(encoding="utf-8") == "".join(json.dumps(r.to_dict()) + "\n" for r in records)
+        assert read_corpus(path) == records
+
+    def test_read_corpus_keeps_each_render_value_type(self, taxonomy, tmp_path):
+        # equal render dicts whose values differ in type stay apart
+        records = [r.to_dict() for r in generate_corpus(taxonomy, 3, master_seed=0)]
+        records[1]["render"]["steps"] = 50.0
+        records[2]["render"]["resolution"] = True
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        loaded = read_corpus(path)
+        renders = [r.render for r in loaded]
+        assert [type(r.steps) for r in renders] == [int, float, int]
+        assert [type(r.resolution) for r in renders] == [int, int, bool]
+        # and the writer writes each as it was read
+        write_corpus(loaded, tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+    def test_read_corpus_refuses_trailing_data_on_a_line(self, taxonomy, tmp_path):
+        lines = [json.dumps(r.to_dict()) for r in generate_corpus(taxonomy, 2, master_seed=0)]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(f"{lines[0]}\n{lines[1]} {{}}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"corpus\.jsonl:2: bad corpus record: Extra data"):
+            read_corpus(path)
 
     def test_read_corpus_builds_each_atom_once(self, taxonomy, tmp_path):
         path = tmp_path / "corpus.jsonl"

@@ -1,12 +1,14 @@
 """Synthetic embedding world: rotations, composition, decoding, training pairs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partgen.errors import DimensionMismatch, UnknownAtom, ValidationError
-from partgen.taxonomy import SemanticAtom, generate_corpus, parse_taxonomy
+from partgen.taxonomy import SemanticAtom, generate_corpus, load_default_taxonomy, parse_taxonomy
 from partgen.world import (
     DEFAULT_DIM,
     SLOT_COUNT,
@@ -105,6 +107,25 @@ class TestGeometry:
         assert np.array_equal(world.embeddings, again.embeddings)
         for a, b in zip(world.rotations, again.rotations):
             assert np.array_equal(a, b)
+
+    # sha256 of the float64 bytes of the embeddings and of the stacked
+    # rotations, taken when every atom and slot still seeded its own
+    # default_rng; the norms and the QR go through BLAS, so like the training
+    # pins these hold under OpenBLAS's SkylakeX kernel
+    @pytest.mark.parametrize(
+        "world_seed, d, embeddings_sha256, rotations_sha256",
+        [
+            (8, 64, "86b93f704c08591e73f2a8feaf434b558eb081150f1b9d6168ee19a766343ceb",
+             "6359d38ca829f4d371ee1da4c9a3f63469f072ebee4934d22667b0bd05e8dc84"),
+            (99, 32, "43fb19a40a99f437bc0cccb8ca5f7d47555d36355bce1f5fcd2af2768658c2ff",
+             "c46b10e3aead58d3fd95cf2098e49946c4b296f96e501f3411012baf1c4e1ebd"),
+        ],
+        ids=["8-64", "99-32"],
+    )
+    def test_world_bytes_pinned(self, world_seed, d, embeddings_sha256, rotations_sha256):
+        world = WorldSpec(load_default_taxonomy(), world_seed, d)
+        assert hashlib.sha256(world.embeddings.tobytes()).hexdigest() == embeddings_sha256
+        assert hashlib.sha256(np.stack(world.rotations).tobytes()).hexdigest() == rotations_sha256
 
     def test_atom_embedding_lookup(self, taxonomy, world):
         atom = taxonomy.domains[0].parts[0]
