@@ -29,7 +29,7 @@ from .metrics import fid, gaussian_stats, kid, slot_match
 from .metrics import compositional_accuracy, compositional_accuracy_by_k  # noqa: F401
 from .nn import load_checkpoint, save_checkpoint
 from .parteval import OracleGrader, parteval_grade_many, parteval_questions, parteval_score
-from .prior import DIFFUSION_STEPS, TrainConfig, sample_diffusion_batch, sample_flow_batch, train, write_loss_csv
+from .prior import DIFFUSION_STEPS, TRAIN_SETTINGS, TrainConfig, sample_diffusion_batch, sample_flow_batch, train, write_loss_csv
 from .report import complexity_report, load_report, svg_bar_chart, write_report
 from .taxonomy import (
     MIN_ATOMS_PER_PROMPT,
@@ -69,10 +69,7 @@ PIPELINE_DEFAULTS: dict[str, object] = {
     "world_seed": DEFAULT_WORLD_SEED,
     "dim": DEFAULT_DIM,
     "objective": "flow",
-    "steps": 20000,
-    "lr": 1e-3,
-    "batch_size": 64,
-    "cond_dropout": 0.1,
+    **{key: default for key, (default, _, _) in TRAIN_SETTINGS.items()},
     "train_seed": 42,
     "sample_steps": 50,
     "cfg_scale": 1.0,
@@ -89,10 +86,7 @@ CONFIG_CHECKS: dict[str, tuple[str, Callable[[Any], bool]]] = {
     "mix_ratio": ("within [0, 1]", lambda v: 0.0 <= v <= 1.0),
     "dim": (">= 2", lambda v: v >= 2),
     "objective": (f"one of {', '.join(OBJECTIVE_ALIASES)}", lambda v: v in OBJECTIVE_ALIASES),
-    "steps": (">= 1", lambda v: v >= 1),
-    "lr": ("> 0 and finite", lambda v: 0.0 < v < math.inf),
-    "batch_size": (">= 1", lambda v: v >= 1),
-    "cond_dropout": ("within [0, 1)", lambda v: 0.0 <= v < 1.0),
+    **{key: (rule, ok) for key, (_, rule, ok) in TRAIN_SETTINGS.items()},
     "train_seed": (">= 0", lambda v: v >= 0),  # it seeds numpy's generator directly
     "sample_steps": (">= 1", lambda v: v >= 1),
     "cfg_scale": ("finite", math.isfinite),
@@ -109,18 +103,20 @@ def _resolve_taxonomy(path_str: str) -> Taxonomy:
 
 
 def _refuse_same_file(args, inputs: list[str], outputs: list[str]) -> None:
-    """Usage error when an output flag names the file of an input flag or
-    of an earlier output flag, compared after Path.resolve(); a flag left
-    empty names no file. Callers run it before they read or write."""
+    """Usage error when an output flag names the file of an input (a flag,
+    or a positional argument that holds a list of paths) or of an earlier
+    output flag, compared after Path.resolve(); a flag left empty names no
+    file. Callers run it before they read or write."""
     seen: dict[Path, str] = {}
     for flag in inputs + outputs:
-        path = getattr(args, flag[2:].replace("-", "_"))
-        if not path:
-            continue
-        key = Path(path).resolve()
-        if key in seen and flag in outputs:
-            raise UsageError(f"{seen[key]} and {flag} name the same file: {path}")
-        seen.setdefault(key, flag)
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        for path in value if isinstance(value, list) else [value]:
+            if not path:
+                continue
+            key = Path(path).resolve()
+            if key in seen and flag in outputs:
+                raise UsageError(f"{seen[key]} and {flag} name the same file: {path}")
+            seen.setdefault(key, flag)
 
 
 def check_config(values: dict, flags: dict[str, str] | None = None) -> dict:
@@ -223,14 +219,8 @@ def _world(taxonomy: Taxonomy, config: dict) -> WorldSpec:
 
 
 def _train_stage(config: dict, dataset, ckpt_path: str | Path, loss_path: str | Path | None):
-    train_config = TrainConfig(
-        objective=OBJECTIVE_ALIASES[config["objective"]],
-        lr=config["lr"],
-        batch_size=config["batch_size"],
-        steps=config["steps"],
-        cond_dropout=config["cond_dropout"],
-        seed=config["train_seed"],
-    )
+    train_config = TrainConfig(objective=OBJECTIVE_ALIASES[config["objective"]], seed=config["train_seed"],
+                               **{key: config[key] for key in TRAIN_SETTINGS})
     result = train(train_config, dataset)
     save_checkpoint(result.net, ckpt_path)
     if loss_path:
@@ -507,7 +497,7 @@ def cmd_pipeline_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    _refuse_same_file(args, [], ["--out-csv", "--out-svg"])
+    _refuse_same_file(args, ["reports"], ["--out-csv", "--out-svg"])
     reports = [load_report(p) for p in args.reports]
     complexity_report(reports, args.out_csv, args.out_svg)
     print(f"wrote {args.out_csv} and {args.out_svg}")

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, Iterator, Sequence
+import math
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -209,23 +210,32 @@ def objective_loss(
     return _regression_loss(net, inputs, reg_targets, want_grads, predictor, dtype)
 
 
+# training key -> (default; allowed range, as messages and --help state it;
+# its test). TrainConfig and the pipeline config (cli) both read these rows.
+TRAIN_SETTINGS: dict[str, tuple[object, str, Callable[[Any], bool]]] = {
+    "steps": (20000, ">= 1", lambda v: v >= 1),
+    "lr": (1e-3, "> 0 and finite", lambda v: 0.0 < v < math.inf),
+    "batch_size": (64, ">= 1", lambda v: v >= 1),
+    "cond_dropout": (0.1, "within [0, 1)", lambda v: 0.0 <= v < 1.0),
+}
+
+
 @dataclasses.dataclass
 class TrainConfig:
     objective: str = "rectified_flow"
-    lr: float = 1e-3
-    batch_size: int = 64
-    steps: int = 20000
-    cond_dropout: float = 0.1
+    lr: float = TRAIN_SETTINGS["lr"][0]
+    batch_size: int = TRAIN_SETTINGS["batch_size"][0]
+    steps: int = TRAIN_SETTINGS["steps"][0]
+    cond_dropout: float = TRAIN_SETTINGS["cond_dropout"][0]
     seed: int = 0
     hidden_dims: list[int] = dataclasses.field(default_factory=lambda: list(DEFAULT_HIDDEN_DIMS))
 
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
             raise ValidationError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
-        if not (0.0 <= self.cond_dropout < 1.0):
-            raise ValidationError("cond_dropout must be in [0, 1)")
-        if self.steps < 1:
-            raise ValidationError("steps must be >= 1")
+        for key, (_, rule, ok) in TRAIN_SETTINGS.items():
+            if not ok(getattr(self, key)):
+                raise ValidationError(f"{key} must be {rule}, got {getattr(self, key)}")
 
 
 @dataclasses.dataclass

@@ -339,6 +339,10 @@ def write_corpus(records: Iterable[HybridPrompt], path: str | Path) -> int:
     return count
 
 
+# a record's scalar fields and the Python type json gives each, exactly
+_RECORD_FIELD_TYPES = {"id": int, "prefix": str, "domain_mix": bool, "text": str, "seed": int}
+
+
 def read_corpus(path: str | Path) -> list[HybridPrompt]:
     """The records of a JSONL corpus. Each distinct atom and render dict is
     built, and so checked, once per call; a bad record is a ParseError
@@ -371,14 +375,19 @@ def read_corpus(path: str | Path) -> list[HybridPrompt]:
                 render_key = (*render.items(), *map(type, render.values()))
                 if render_key not in renders:
                     renders[render_key] = RenderConfig(**render)
+                for field, kind in _RECORD_FIELD_TYPES.items():
+                    if type(obj[field]) is not kind:  # exact: 2.7, "12" and true are not ids
+                        raise ValueError(f"{field} must be of type {kind.__name__}, got {obj[field]!r}")
+                if not 0 <= obj["seed"] < 2**64:
+                    raise ValueError(f"seed must be in [0, 2^64), got {obj['seed']}")
                 records.append(
                     HybridPrompt(
-                        id=int(obj["id"]),
+                        id=obj["id"],
                         prefix=obj["prefix"],
-                        domain_mix=bool(obj["domain_mix"]),
+                        domain_mix=obj["domain_mix"],
                         atoms=[atoms[key] for key in keys],
                         text=obj["text"],
-                        seed=int(obj["seed"]),
+                        seed=obj["seed"],
                         render=renders[render_key],
                     )
                 )

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from partgen.cli import main as cli_main, run_eval_stage
-from partgen.prior import TrainConfig, train
+from partgen.prior import TRAIN_SETTINGS, TrainConfig, train
 from partgen.taxonomy import Taxonomy, load_default_taxonomy, read_corpus
 from partgen.world import DEFAULT_DIM, DEFAULT_WORLD_SEED, WorldSpec, make_dataset
 
@@ -100,16 +100,17 @@ class DiffusionEval:
 @pytest.fixture(scope="session")
 def diffusion_eval(pipeline_run, taxonomy, world, tmp_path_factory) -> DiffusionEval:
     """Diffusion objective trained on the same 10k pairs as the flow run,
-    built from its corpus as its train stage built them, then scored by the
-    eval stage, with the flow run's config, on the same held-out condition
-    sets."""
+    built from its corpus as its train stage built them, with the training
+    settings its manifest records, then scored by the eval stage, with the
+    flow run's config, on the same held-out condition sets."""
     dataset = make_dataset(read_corpus(pipeline_run.out_dir / "corpus.jsonl"), taxonomy, world)
-    config = TrainConfig(objective="diffusion_prior", steps=20000, seed=42)
+    recorded = pipeline_run.manifest["config"]
+    config = TrainConfig(objective="diffusion_prior", seed=recorded["train_seed"], **{key: recorded[key] for key in TRAIN_SETTINGS})
     start = time.monotonic()
     result = train(config, dataset)
     train_elapsed = time.monotonic() - start
 
     eval_records = read_corpus(pipeline_run.out_dir / "eval_corpus.jsonl")
-    eval_config = {**pipeline_run.manifest["config"], "objective": "diffusion"}
+    eval_config = {**recorded, "objective": "diffusion"}
     _, metrics = run_eval_stage(result.net, eval_config, eval_records, world, tmp_path_factory.mktemp("diffusion_eval"))
     return DiffusionEval(train_elapsed=train_elapsed, mean_cosine=metrics["mean_cosine"])

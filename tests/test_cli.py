@@ -20,10 +20,10 @@ from partgen.cli import (
     resolve_pipeline_config,
 )
 from partgen.nn import _ACTIVATION_TAG, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, DenseNet, save_checkpoint
-from partgen.prior import input_dim
+from partgen.prior import TrainConfig, input_dim, train
 from partgen.report import write_report
-from partgen.taxonomy import default_taxonomy_path, generate_corpus
-from partgen.world import DEFAULT_DIM
+from partgen.taxonomy import default_taxonomy_path, generate_corpus, read_corpus, write_corpus
+from partgen.world import DEFAULT_DIM, make_dataset
 
 
 def _help_text(capsys, argv) -> str:
@@ -224,8 +224,26 @@ class TestConfigResolution:
         config = resolve_pipeline_config(None, [f"objective={objective}", f"sample_steps={steps}"])
         assert config["sample_steps"] == int(steps)
 
+    def test_readme_key_table_matches_the_defaults(self):
+        # README lists every config key with its default, in PIPELINE_DEFAULTS' order
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("with their default and allowed range:\n\n```\n", 1)[1].split("```", 1)[0]
+        rows = [line.split()[:2] for line in block.splitlines()]
+        assert [key for key, _ in rows] == list(PIPELINE_DEFAULTS)
+        assert dict(rows) == {key: str(value) if value != "" else '""' for key, value in PIPELINE_DEFAULTS.items()}
+
 
 class TestCorpusAndSample:
+    def test_prior_train_passes_every_training_key_to_train(self, tmp_path, taxonomy, world):
+        # each key set away from its default; a key dropped on the way trains a different net
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(generate_corpus(taxonomy, 20, master_seed=3), corpus)
+        assert main(["prior", "train", "--corpus", str(corpus), "--out", str(tmp_path / "cli.bin"), "--objective", "diffusion",
+                     "--steps", "3", "--lr", "0.05", "--batch-size", "5", "--cond-dropout", "0.5", "--train-seed", "9"]) == 0
+        config = TrainConfig(objective="diffusion_prior", steps=3, lr=0.05, batch_size=5, cond_dropout=0.5, seed=9)
+        save_checkpoint(train(config, make_dataset(read_corpus(corpus), taxonomy, world)).net, tmp_path / "direct.bin")
+        assert (tmp_path / "cli.bin").read_bytes() == (tmp_path / "direct.bin").read_bytes()
+
     def test_corpus_gen_writes_records(self, tmp_path, capsys):
         out = tmp_path / "c.jsonl"
         assert main(["corpus", "gen", "--n", "12", "--seed", "4", "--out", str(out)]) == 0
@@ -485,6 +503,10 @@ MALFORMED = [
     ("report-out-svg-missing-dir", ["report", "{report}", "--out-csv", "{tmp}/r.csv", "--out-svg", "{tmp}/absent/r.svg"], 1,
      "absent/r.svg"),
     ("report-same-output", ["report", "{report}", "--out-csv", "{tmp}/r.out", "--out-svg", "{tmp}/./r.out"], 2, "same file"),
+    ("report-input-is-out-csv", ["report", "{report}", "--out-csv", "{tmp}/a_dir/../report.json", "--out-svg", "{out}.svg"], 2,
+     "reports and --out-csv name the same file"),
+    ("report-input-is-out-svg", ["report", "{report_score_huge}", "{report}", "--out-csv", "{out}",
+                                 "--out-svg", "{tmp}/a_dir/../report.json"], 2, "reports and --out-svg name the same file"),
     ("report-repeated-point", ["report", "{report}", "{report}", "--out-csv", "{out}", "--out-svg", "{out}.svg"], 1,
      "model 'prior' at complexity 2"),
     ("report-model-list", ["report", "{report_model_list}", "--out-csv", "{out}", "--out-svg", "{out}.svg"], 1, "['x']"),

@@ -254,13 +254,15 @@ class TestLosses:
 
 
 class TestTrainLoop:
-    def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            TrainConfig(objective="score_matching")
-        with pytest.raises(ValidationError):
-            TrainConfig(cond_dropout=1.0)
-        with pytest.raises(ValidationError):
-            TrainConfig(steps=0)
+    # a direct TrainConfig refuses every value the pipeline config refuses
+    @pytest.mark.parametrize(
+        "field, value",
+        [("objective", "score_matching"), ("cond_dropout", 1.0), ("steps", 0), ("lr", 0.0), ("lr", -1.0),
+         ("lr", float("nan")), ("lr", float("inf")), ("batch_size", 0), ("batch_size", -3)],
+    )
+    def test_config_validation(self, field, value):
+        with pytest.raises(ValidationError, match=rf"^{field} must be "):
+            TrainConfig(**{field: value})
 
     def test_short_training_is_deterministic_and_finite(self, small_batch):
         config = TrainConfig(steps=40, batch_size=8, seed=9)

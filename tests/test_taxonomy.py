@@ -309,18 +309,23 @@ class TestCorpus:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("subject", "Lion"), ("domain", "gadget"), ("part", 7), ("id", "seven")],
-        ids=["uppercase-subject", "unknown-domain", "numeric-part", "non-numeric-id"],
+        [("subject", "Lion"), ("domain", "gadget"), ("part", 7), ("id", "seven"), ("id", 2.7), ("id", True),
+         ("seed", "12"), ("seed", True), ("seed", -1), ("seed", 2**64), ("domain_mix", "no"), ("domain_mix", 1),
+         ("text", 5), ("prefix", ["x"])],
+        ids=["uppercase-subject", "unknown-domain", "numeric-part", "non-numeric-id", "fractional-id", "bool-id",
+             "string-seed", "bool-seed", "negative-seed", "seed-2-to-the-64", "string-domain-mix", "integer-domain-mix",
+             "numeric-text", "list-prefix"],
     )
     def test_read_corpus_names_the_line_of_a_bad_record(self, taxonomy, tmp_path, field, value):
         records = [r.to_dict() for r in generate_corpus(taxonomy, 3, master_seed=0)]
-        if field == "id":
-            records[1]["id"] = value
+        named = field if field in records[1] else ""  # a record's own field is named first
+        if named:
+            records[1][field] = value
         else:
             records[1]["atoms"][0][field] = value
         path = tmp_path / "corpus.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-        with pytest.raises(ParseError, match=r"corpus\.jsonl:2: bad corpus record: "):
+        with pytest.raises(ParseError, match=rf"corpus\.jsonl:2: bad corpus record: {named}"):
             read_corpus(path)
 
     @pytest.mark.parametrize("count", [1, 5])
