@@ -69,7 +69,7 @@ PIPELINE_DEFAULTS: dict[str, object] = {
     "world_seed": DEFAULT_WORLD_SEED,
     "dim": DEFAULT_DIM,
     "objective": "flow",
-    **{key: default for key, (default, _, _) in TRAIN_SETTINGS.items()},
+    **{key: default for key, (default, _, _, _) in TRAIN_SETTINGS.items()},
     "train_seed": 42,
     "sample_steps": 50,
     "cfg_scale": 1.0,
@@ -86,7 +86,7 @@ CONFIG_CHECKS: dict[str, tuple[str, Callable[[Any], bool]]] = {
     "mix_ratio": ("within [0, 1]", lambda v: 0.0 <= v <= 1.0),
     "dim": (">= 2", lambda v: v >= 2),
     "objective": (f"one of {', '.join(OBJECTIVE_ALIASES)}", lambda v: v in OBJECTIVE_ALIASES),
-    **{key: (rule, ok) for key, (_, rule, ok) in TRAIN_SETTINGS.items()},
+    **{key: (rule, ok) for key, (_, _, rule, ok) in TRAIN_SETTINGS.items()},
     "train_seed": (">= 0", lambda v: v >= 0),  # it seeds numpy's generator directly
     "sample_steps": (">= 1", lambda v: v >= 1),
     "cfg_scale": ("finite", math.isfinite),

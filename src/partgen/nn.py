@@ -5,13 +5,20 @@ uses float32 matmuls for speed, while gradient checking upcasts everything
 to float64 so central differences are limited by truncation error rather
 than rounding. Scalar reductions (losses, finite differences) always
 accumulate in float64. Adam updates in float32, in place, like the
-parameters and its moments, whatever the type of the learning rate.
+parameters and its moments, whatever the type of the learning rate. The
+update runs as one compiled loop per tensor (_adam.c, built with the
+system's cc on a process's first Adam step) and falls back to numpy, with
+the same bits, where that cannot be built.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
+import os
 import struct
+import tempfile
 from pathlib import Path
 from typing import Callable
 
@@ -64,9 +71,6 @@ class Tape:
 class Gradients:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-
-    def any_nonfinite(self) -> bool:
-        return not all(np.isfinite(g).all() for g in self.weights + self.biases)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -156,38 +160,90 @@ class AdamState:
         )
 
 
+_ADAM_SOURCE = Path(__file__).with_name("_adam.c")
+# -ffp-contract=off keeps each multiply and add rounded on its own, as in
+# numpy, and -O3 is needed to vectorize sqrt and the division. Never
+# -ffast-math or -Ofast (they reorder arithmetic and set flush-to-zero for
+# the whole process) nor -march=native (the build would vary by host CPU).
+_ADAM_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
+_ADAM_BUILD_TIMEOUT_S = 60
+# the first float of a writable array, which the kernel takes as a pointer;
+# it holds a reference to the array for as long as the call needs it
+_floats = ctypes.c_float.from_buffer
+
+
+@functools.cache
+def _adam_kernel() -> ctypes.CDLL | None:
+    """_adam.c compiled by cc and loaded, once per process at the first
+    call; None when there is no cc, the compile fails or the library does
+    not load, and adam_step then runs the numpy update."""
+    import subprocess  # here, not at import, so the CLI starts without it
+
+    with tempfile.TemporaryDirectory() as tmp:
+        lib_path = os.path.join(tmp, "_adam.so")
+        command = ["cc", *_ADAM_CFLAGS, "-o", lib_path, str(_ADAM_SOURCE), "-lm"]
+        try:
+            if subprocess.run(command, capture_output=True, timeout=_ADAM_BUILD_TIMEOUT_S).returncode != 0:
+                return None
+            lib = ctypes.CDLL(lib_path)  # mapped, so the directory can go
+        except (OSError, subprocess.SubprocessError):
+            return None
+    floats = ctypes.POINTER(ctypes.c_float)
+    lib.adam_all_finite.argtypes = [floats, ctypes.c_size_t]
+    lib.adam_all_finite.restype = ctypes.c_int
+    lib.adam_update.argtypes = [floats] * 4 + [ctypes.c_size_t] + [ctypes.c_float] * 7
+    lib.adam_update.restype = None
+    return lib
+
+
 def adam_step(net: DenseNet, grads: Gradients, state: AdamState, lr: float | None = None) -> None:
     """One bias-corrected Adam update in place, in float32 like the
     parameters: p -= a m / (sqrt(v b) + eps) with a = lr / c1 and b = 1 / c2
-    rounded to float32 once. Rejects non-finite gradients."""
-    if grads.any_nonfinite():
+    rounded to float32 once. Gradients are rounded to float32 first, and a
+    non-finite one is rejected before any tensor changes.
+
+    The compiled loop and the numpy update do the same float32 operations
+    in the same order, so they give the same bits. A tensor the loop cannot
+    update in place (not a writable, aligned, C-contiguous float32 array
+    the shape of its gradient, or empty) takes the numpy update.
+    """
+    kernel = _adam_kernel()
+    f32 = np.float32
+    # from_buffer needs a writable buffer: a C-order copy, rounded as by
+    # astype, of any gradient that is not a writable C-contiguous float32 array
+    gs = [g if g.dtype == f32 and g.flags.carray else np.array(g, dtype=f32, order="C")
+          for g in grads.weights + grads.biases]
+    if kernel is None:
+        finite = all(np.isfinite(g).all() for g in gs)
+    else:
+        finite = all(kernel.adam_all_finite(_floats(g), g.size) for g in gs if g.size)
+    if not finite:
         raise NonFiniteGradient(f"non-finite gradient at optimizer step {state.step + 1}")
     if lr is None:
         lr = state.lr
     state.step += 1
-    f32 = np.float32
     a = f32(lr / (1.0 - state.beta1 ** state.step))
     b = f32(1.0 / (1.0 - state.beta2 ** state.step))
     beta1, beta2, eps = f32(state.beta1), f32(state.beta2), f32(state.eps)
     one_minus_beta1, one_minus_beta2 = f32(1.0 - state.beta1), f32(1.0 - state.beta2)
-    for params, gs, ms, vs in (
-        (net.weights, grads.weights, state.m_weights, state.v_weights),
-        (net.biases, grads.biases, state.m_biases, state.v_biases),
-    ):
-        for p, g, m, v in zip(params, gs, ms, vs):
-            g = g.astype(f32, copy=False)
-            buf = np.multiply(one_minus_beta1, g)
-            m *= beta1
-            m += buf
-            np.multiply(one_minus_beta2, g, out=buf)
-            buf *= g
-            v *= beta2
-            v += buf
-            np.multiply(v, b, out=buf)
-            np.sqrt(buf, out=buf)
-            buf += eps
-            np.divide(np.multiply(a, m), buf, out=buf)
-            p -= buf
+    for p, g, m, v in zip(net.weights + net.biases, gs, state.m_weights + state.m_biases, state.v_weights + state.v_biases):
+        in_place = g.size and p.shape == g.shape == m.shape == v.shape and all(x.dtype == f32 and x.flags.carray for x in (p, m, v))
+        if kernel is not None and in_place:
+            kernel.adam_update(_floats(p), _floats(g), _floats(m), _floats(v), g.size,
+                               a, b, beta1, beta2, one_minus_beta1, one_minus_beta2, eps)
+            continue
+        buf = np.multiply(one_minus_beta1, g)
+        m *= beta1
+        m += buf
+        np.multiply(one_minus_beta2, g, out=buf)
+        buf *= g
+        v *= beta2
+        v += buf
+        np.multiply(v, b, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += eps
+        np.divide(np.multiply(a, m), buf, out=buf)
+        p -= buf
 
 
 def grad_check(

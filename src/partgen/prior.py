@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -210,13 +211,14 @@ def objective_loss(
     return _regression_loss(net, inputs, reg_targets, want_grads, predictor, dtype)
 
 
-# training key -> (default; allowed range, as messages and --help state it;
-# its test). TrainConfig and the pipeline config (cli) both read these rows.
-TRAIN_SETTINGS: dict[str, tuple[object, str, Callable[[Any], bool]]] = {
-    "steps": (20000, ">= 1", lambda v: v >= 1),
-    "lr": (1e-3, "> 0 and finite", lambda v: 0.0 < v < math.inf),
-    "batch_size": (64, ">= 1", lambda v: v >= 1),
-    "cond_dropout": (0.1, "within [0, 1)", lambda v: 0.0 <= v < 1.0),
+# training key -> (default; the number type a value must have, bool aside;
+# allowed range, as messages and --help state it; its test). TrainConfig and
+# the pipeline config (cli) both read these rows.
+TRAIN_SETTINGS: dict[str, tuple[object, type, str, Callable[[Any], bool]]] = {
+    "steps": (20000, numbers.Integral, ">= 1", lambda v: v >= 1),
+    "lr": (1e-3, numbers.Real, "> 0 and finite", lambda v: 0.0 < v < math.inf),
+    "batch_size": (64, numbers.Integral, ">= 1", lambda v: v >= 1),
+    "cond_dropout": (0.1, numbers.Real, "within [0, 1)", lambda v: 0.0 <= v < 1.0),
 }
 
 
@@ -233,9 +235,12 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
             raise ValidationError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
-        for key, (_, rule, ok) in TRAIN_SETTINGS.items():
-            if not ok(getattr(self, key)):
-                raise ValidationError(f"{key} must be {rule}, got {getattr(self, key)}")
+        for key, (_, kind, rule, ok) in TRAIN_SETTINGS.items():
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValidationError(f"{key} must be {kind.__name__.lower()}, got {value!r}")
+            if not ok(value):
+                raise ValidationError(f"{key} must be {rule}, got {value}")
 
 
 @dataclasses.dataclass

@@ -13,6 +13,8 @@ from __future__ import annotations
 import dataclasses
 import importlib.resources
 import json
+import math
+import numbers
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -88,6 +90,9 @@ class RenderConfig:
     scheduler_shift: float = 3.0
 
     def __post_init__(self) -> None:
+        for name, value in self.to_dict().items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValidationError(f"render {name} must be a finite number, got {value!r}")
         if self.resolution <= 0 or self.steps <= 0 or self.guidance_scale <= 0:
             raise ValidationError("render settings must be positive")
 

@@ -8,12 +8,15 @@ session and shared between the unit tests and the acceptance suite.
 from __future__ import annotations
 
 import json
+import shutil
+import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
 
+from partgen import nn
 from partgen.cli import main as cli_main, run_eval_stage
 from partgen.prior import TRAIN_SETTINGS, TrainConfig, train
 from partgen.taxonomy import Taxonomy, load_default_taxonomy, read_corpus
@@ -45,6 +48,27 @@ def taxonomy() -> Taxonomy:
 @pytest.fixture(scope="session")
 def world(taxonomy) -> WorldSpec:
     return WorldSpec(taxonomy, world_seed=DEFAULT_WORLD_SEED, d=DEFAULT_DIM)
+
+
+@pytest.fixture(params=["kernel", "numpy"])
+def adam_update(request, monkeypatch) -> str:
+    """The Adam update a test runs on: "kernel", the compiled loop, or
+    "numpy", the update a process falls back to when cc cannot build it
+    (here every subprocess.run fails as a missing cc would)."""
+    if request.param == "numpy":
+        def no_compiler(*args, **kwargs):
+            raise FileNotFoundError("cc")
+
+        nn._adam_kernel.cache_clear()
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        assert nn._adam_kernel() is None
+        yield request.param
+        nn._adam_kernel.cache_clear()  # the next test builds the kernel again
+    else:
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on PATH as cc")
+        assert nn._adam_kernel() is not None
+        yield request.param
 
 
 @dataclass

@@ -1,11 +1,16 @@
 """Dense network: forward/backward math, Adam, checkpoints, gradient checks."""
 
 import copy
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from partgen import nn
 from partgen.errors import DimensionMismatch, NonFiniteGradient, ParseError
 from partgen.nn import (
     AdamState,
@@ -54,6 +59,17 @@ def _reference_adam_step(net: DenseNet, grads, state: AdamState, lr) -> None:
             ms[i] = beta1 * ms[i] + f32(1.0 - state.beta1) * g
             vs[i] = beta2 * vs[i] + f32(1.0 - state.beta2) * g * g
             params[i] -= a * ms[i] / (np.sqrt(vs[i] * b) + eps)
+
+
+def _extreme_gradient(rng: np.random.Generator, centre: np.ndarray, dtype=np.float32) -> np.ndarray:
+    """Gradients of magnitude about 10^centre, one decade either way, with
+    random signs and some exact +0 and -0: a centre of -45 gives float32
+    subnormals, one of 30 gives squares that overflow v to inf."""
+    g = 10.0 ** (centre + rng.standard_normal(centre.shape))
+    g[rng.random(g.shape) < 0.5] *= -1.0
+    g[rng.random(g.shape) < 0.05] = 0.0
+    g[rng.random(g.shape) < 0.05] = -0.0
+    return g.astype(dtype)
 
 
 def _reference_forward_backward(net: DenseNet, x: np.ndarray, dy: np.ndarray, dtype):
@@ -245,6 +261,96 @@ class TestAdam:
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype == np.float32
                 assert np.array_equal(_bits(a), _bits(b))
+
+
+class TestAdamKernel:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_matches_reference_bitwise_over_extreme_gradients(self, small_net, adam_update):
+        # each element keeps its decade for the whole run, so subnormal,
+        # ordinary and overflowing elements all last 200 steps
+        net, ref_net = small_net, copy.deepcopy(small_net)
+        # a Fortran-order parameter and a strided moment take the numpy update
+        net.weights[0] = np.asfortranarray(net.weights[0])
+        ref_net.weights[0] = np.asfortranarray(ref_net.weights[0])
+        state, ref_state = AdamState.init(net), AdamState.init(ref_net)
+        state.v_biases[1] = np.zeros(2 * net.biases[1].size, dtype=np.float32)[::2]
+        rng = np.random.default_rng(12)
+        shapes = [w.shape for w in net.weights] + [b.shape for b in net.biases]
+        centres = [rng.uniform(-46.0, 31.0, size=shape) for shape in shapes]
+        for step in range(1, 201):
+            gs = [_extreme_gradient(rng, centre) for centre in centres]
+            gs[1] = _extreme_gradient(rng, centres[1], np.float64)  # rounded to float32 by the update
+            gs[2] = _extreme_gradient(rng, centres[2].T).T  # a transposed view
+            gs[5] = np.repeat(gs[5], 2)[::2]  # a strided view
+            grads = Gradients(weights=gs[:3], biases=gs[3:])
+            lr = 1e-2 * 0.5 * (1.0 + np.cos(np.pi * step / 200))
+            adam_step(net, grads, state, lr=lr)
+            _reference_adam_step(ref_net, grads, ref_state, lr)
+        assert state.step == ref_state.step == 200
+        got = net.weights + net.biases + state.m_weights + state.v_weights + state.m_biases + state.v_biases
+        want = ref_net.weights + ref_net.biases + ref_state.m_weights + ref_state.v_weights + ref_state.m_biases + ref_state.v_biases
+        # every regime was reached: subnormal first moments, zero, ordinary
+        # and infinite second moments
+        m = np.abs(np.concatenate([m.ravel() for m in state.m_weights + state.m_biases]))
+        v = np.concatenate([v.ravel() for v in state.v_weights + state.v_biases])
+        tiny = np.finfo(np.float32).tiny
+        assert ((0 < m) & (m < tiny)).any()
+        assert (v == 0).any() and ((tiny <= v) & (v < np.inf)).any() and np.isinf(v).any()
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.float32
+            assert np.array_equal(_bits(a), _bits(b))
+
+    @pytest.mark.parametrize(
+        "dtype, bad",
+        [(np.float32, np.nan), (np.float32, np.inf), (np.float32, -np.inf), (np.float64, -np.nan), (np.float64, 1e39)],
+        ids=["nan", "inf", "-inf", "float64 nan", "float64 beyond float32"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    def test_nonfinite_gradient_at_any_tensor_changes_nothing(self, small_net, adam_update, dtype, bad):
+        rng = np.random.default_rng(13)
+        x, y = rng.standard_normal((8, 6)), rng.standard_normal((8, 4))
+        state = AdamState.init(small_net)
+        adam_step(small_net, _quadratic_loss(small_net, x, y, dtype=np.float32)[1], state)
+        for tensor in range(2 * small_net.n_layers):
+            _, grads = _quadratic_loss(small_net, x, y, dtype=dtype)
+            flat = (grads.weights + grads.biases)[tensor].reshape(-1)
+            flat[rng.integers(flat.size)] = bad
+            before = copy.deepcopy((small_net, state))
+            with pytest.raises(NonFiniteGradient, match=r"^non-finite gradient at optimizer step 2$"):
+                adam_step(small_net, grads, state)
+            assert state.step == 1
+            for name in ("weights", "biases"):
+                for a, b in zip(getattr(small_net, name), getattr(before[0], name)):
+                    assert np.array_equal(_bits(a), _bits(b))
+            for name in ("m_weights", "v_weights", "m_biases", "v_biases"):
+                for a, b in zip(getattr(state, name), getattr(before[1], name)):
+                    assert np.array_equal(_bits(a), _bits(b))
+
+    def test_a_failed_compile_falls_back_to_numpy(self, small_net, tmp_path, monkeypatch):
+        bad = tmp_path / "_adam.c"
+        bad.write_text("not C\n", encoding="utf-8")
+        monkeypatch.setattr(nn, "_ADAM_SOURCE", bad)
+        nn._adam_kernel.cache_clear()
+        try:
+            assert nn._adam_kernel() is None
+            zero = Gradients(weights=[np.zeros_like(w) for w in small_net.weights], biases=[np.zeros_like(b) for b in small_net.biases])
+            adam_step(small_net, zero, AdamState.init(small_net))
+        finally:
+            nn._adam_kernel.cache_clear()
+
+    def test_import_builds_no_kernel_and_loads_no_subprocess(self):
+        # the kernel is built at a process's first Adam step, never on import:
+        # `import partgen.cli` (the CLI's start-up, which the benchmark's
+        # setup_s times) loads 238 modules under Python 3.11 and numpy 2.4.6
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = (
+            "import sys, partgen.cli, partgen.nn\n"
+            "print(len(sys.modules), 'subprocess' in sys.modules, partgen.nn._adam_kernel.cache_info().currsize)"
+        )
+        result = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["238", "False", "0"]
 
 
 class TestCheckpoint:

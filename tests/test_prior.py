@@ -258,11 +258,17 @@ class TestTrainLoop:
     @pytest.mark.parametrize(
         "field, value",
         [("objective", "score_matching"), ("cond_dropout", 1.0), ("steps", 0), ("lr", 0.0), ("lr", -1.0),
-         ("lr", float("nan")), ("lr", float("inf")), ("batch_size", 0), ("batch_size", -3)],
+         ("lr", float("nan")), ("lr", float("inf")), ("batch_size", 0), ("batch_size", -3),
+         ("steps", 2.5), ("batch_size", True), ("lr", "0.1"), ("cond_dropout", None), ("steps", np.float64(3.0))],
     )
     def test_config_validation(self, field, value):
         with pytest.raises(ValidationError, match=rf"^{field} must be "):
             TrainConfig(**{field: value})
+
+    def test_config_takes_any_number_of_the_setting_type(self):
+        # python and numpy numbers alike; an integer is a valid float setting
+        config = TrainConfig(steps=np.int64(5), batch_size=np.int32(2), lr=1, cond_dropout=np.float32(0.25))
+        assert (config.steps, config.batch_size, config.lr, config.cond_dropout) == (5, 2, 1, 0.25)
 
     def test_short_training_is_deterministic_and_finite(self, small_batch):
         config = TrainConfig(steps=40, batch_size=8, seed=9)
@@ -306,9 +312,13 @@ class TestTrainLoop:
     # sha256 over losses, weights, biases and Adam m/v, taken when Adam
     # began updating in float32 (x86-64, numpy 2.4.6, OpenBLAS 0.3.31 with
     # its SkylakeX kernel); another BLAS kernel may round float32 matmuls
-    # differently
-    @pytest.mark.parametrize("objective", OBJECTIVES)
-    def test_training_digest_pinned(self, small_batch, objective):
+    # differently. Both Adam updates must give it.
+    @pytest.mark.parametrize(
+        "objective, adam_update",
+        [pytest.param(o, path, id=o if path == "kernel" else f"{o}-numpy") for path in ("kernel", "numpy") for o in OBJECTIVES],
+        indirect=["adam_update"],
+    )
+    def test_training_digest_pinned(self, small_batch, objective, adam_update):
         digest = {
             "rectified_flow": "011bb1674f206ff1497b5a6f96cc3635b18c77d3cca44d887a3c96c40539323b",
             "diffusion_prior": "80e18ffb9877d10007df1e10a550adbdb51b24dd4e6f144c162f599cd808f97b",

@@ -311,16 +311,22 @@ class TestCorpus:
         "field, value",
         [("subject", "Lion"), ("domain", "gadget"), ("part", 7), ("id", "seven"), ("id", 2.7), ("id", True),
          ("seed", "12"), ("seed", True), ("seed", -1), ("seed", 2**64), ("domain_mix", "no"), ("domain_mix", 1),
-         ("text", 5), ("prefix", ["x"])],
+         ("text", 5), ("prefix", ["x"]), ("resolution", True), ("steps", "50"), ("guidance_scale", True),
+         ("guidance_scale", float("nan")), ("scheduler_shift", None), ("scheduler_shift", float("-inf"))],
         ids=["uppercase-subject", "unknown-domain", "numeric-part", "non-numeric-id", "fractional-id", "bool-id",
              "string-seed", "bool-seed", "negative-seed", "seed-2-to-the-64", "string-domain-mix", "integer-domain-mix",
-             "numeric-text", "list-prefix"],
+             "numeric-text", "list-prefix", "bool-resolution", "string-render-steps", "bool-guidance-scale",
+             "nan-guidance-scale", "null-scheduler-shift", "infinite-scheduler-shift"],
     )
     def test_read_corpus_names_the_line_of_a_bad_record(self, taxonomy, tmp_path, field, value):
         records = [r.to_dict() for r in generate_corpus(taxonomy, 3, master_seed=0)]
-        named = field if field in records[1] else ""  # a record's own field is named first
-        if named:
+        named = ""  # a record's own field and a render value are named first
+        if field in records[1]:
             records[1][field] = value
+            named = field
+        elif field in records[1]["render"]:
+            records[1]["render"][field] = value
+            named = f"render {field} must be a finite number"
         else:
             records[1]["atoms"][0][field] = value
         path = tmp_path / "corpus.jsonl"
@@ -373,13 +379,13 @@ class TestCorpus:
         # equal render dicts whose values differ in type stay apart
         records = [r.to_dict() for r in generate_corpus(taxonomy, 3, master_seed=0)]
         records[1]["render"]["steps"] = 50.0
-        records[2]["render"]["resolution"] = True
+        records[2]["render"]["guidance_scale"] = 5
         path = tmp_path / "corpus.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         loaded = read_corpus(path)
         renders = [r.render for r in loaded]
         assert [type(r.steps) for r in renders] == [int, float, int]
-        assert [type(r.resolution) for r in renders] == [int, int, bool]
+        assert [type(r.guidance_scale) for r in renders] == [float, float, int]
         # and the writer writes each as it was read
         write_corpus(loaded, tmp_path / "again.jsonl")
         assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
