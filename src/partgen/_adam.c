@@ -1,5 +1,6 @@
-/* The float32 Adam update of partgen.nn.adam_step, fused into one pass over
- * a tensor, and the check for non-finite gradients that precedes it.
+/* The float32 Adam update of partgen.nn.adam_step over every tensor of a
+ * network in one call, after the check for non-finite gradients that
+ * precedes it.
  *
  * Each element goes through the numpy update's operations in the numpy
  * update's order, each rounded to float32, so the two give the same bits.
@@ -8,13 +9,28 @@
  * -fno-math-errno and never with -ffast-math, -Ofast or -march=native.
  * -fno-math-errno lets sqrtf become the correctly rounded sqrt instruction,
  * which vectorizes; -ffp-contract=off forbids fused multiply-adds.
+ *
+ * On x86-64 Linux with glibc, GCC and Clang build each loop once per
+ * instruction set (AVX-512F, AVX2 and the x86-64 baseline) and the loader
+ * picks the widest one the CPU runs. Add, subtract, multiply, divide and
+ * sqrt round the same in every one of them, so the choice moves no bit.
+ * Elsewhere the loops are built once, for the target's baseline.
  */
 
 #include <math.h>
 #include <stddef.h>
 
+#if defined(__x86_64__) && defined(__linux__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define ISA_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+#ifndef ISA_CLONES
+#define ISA_CLONES
+#endif
+
 /* 1 when every one of the n values is finite, else 0. */
-int adam_all_finite(const float *g, size_t n)
+ISA_CLONES static int all_finite(const float *g, size_t n)
 {
     int finite = 1;
     for (size_t i = 0; i < n; i++)
@@ -25,9 +41,9 @@ int adam_all_finite(const float *g, size_t n)
 /* One update of n parameters p with gradients g and moments m, v in place:
  * m = m b1 + c1 g, v = v b2 + (c2 g) g, p -= (a m) / (sqrt(v b) + eps),
  * with c1 = 1 - b1 and c2 = 1 - b2 rounded to float32 by the caller. */
-void adam_update(float *p, const float *g, float *m, float *v, size_t n,
-                 float a, float b, float beta1, float beta2,
-                 float one_minus_beta1, float one_minus_beta2, float eps)
+ISA_CLONES static void adam_update(float *p, const float *g, float *m, float *v, size_t n,
+                                   float a, float b, float beta1, float beta2,
+                                   float one_minus_beta1, float one_minus_beta2, float eps)
 {
     for (size_t i = 0; i < n; i++) {
         float t = one_minus_beta1 * g[i];
@@ -37,4 +53,19 @@ void adam_update(float *p, const float *g, float *m, float *v, size_t n,
         float s = sqrtf(v[i] * b) + eps;
         p[i] -= (a * m[i]) / s;
     }
+}
+
+/* One Adam step over k tensors. ptrs holds p, g, m, v for each tensor in
+ * turn, sizes its element count, and consts a, b, beta1, beta2, 1 - beta1,
+ * 1 - beta2 and eps. Returns 0, with nothing written, when any gradient
+ * holds a non-finite value; else updates every tensor and returns 1. */
+int adam_step_all(size_t k, float *const *ptrs, const size_t *sizes, const float *consts)
+{
+    for (size_t j = 0; j < k; j++)
+        if (!all_finite(ptrs[4 * j + 1], sizes[j]))
+            return 0;
+    for (size_t j = 0; j < k; j++)
+        adam_update(ptrs[4 * j], ptrs[4 * j + 1], ptrs[4 * j + 2], ptrs[4 * j + 3], sizes[j],
+                    consts[0], consts[1], consts[2], consts[3], consts[4], consts[5], consts[6]);
+    return 1;
 }

@@ -6,9 +6,11 @@ to float64 so central differences are limited by truncation error rather
 than rounding. Scalar reductions (losses, finite differences) always
 accumulate in float64. Adam updates in float32, in place, like the
 parameters and its moments, whatever the type of the learning rate. The
-update runs as one compiled loop per tensor (_adam.c, built with the
-system's cc on a process's first Adam step) and falls back to numpy, with
-the same bits, where that cannot be built.
+update runs as one compiled call per step over every tensor (_adam.c,
+built with the system's cc on a process's first Adam step), through a
+table of the parameters' and moments' addresses that AdamState keeps while
+those arrays stay the same. It falls back to numpy, with the same bits,
+where that cannot be built or a tensor cannot go through it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import functools
+import operator
 import os
 import struct
 import tempfile
@@ -148,6 +151,7 @@ class AdamState:
     v_weights: list[np.ndarray] = dataclasses.field(default_factory=list)
     m_biases: list[np.ndarray] = dataclasses.field(default_factory=list)
     v_biases: list[np.ndarray] = dataclasses.field(default_factory=list)
+    _table: _AdamTable | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def init(net: DenseNet, lr: float = 1e-3) -> "AdamState":
@@ -164,11 +168,11 @@ _ADAM_SOURCE = Path(__file__).with_name("_adam.c")
 # -ffp-contract=off keeps each multiply and add rounded on its own, as in
 # numpy, and -O3 is needed to vectorize sqrt and the division. Never
 # -ffast-math or -Ofast (they reorder arithmetic and set flush-to-zero for
-# the whole process) nor -march=native (the build would vary by host CPU).
+# the whole process) nor -march=native (the build would vary by host CPU);
+# _adam.c picks its instruction set at load time instead.
 _ADAM_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 _ADAM_BUILD_TIMEOUT_S = 60
-# the first float of a writable array, which the kernel takes as a pointer;
-# it holds a reference to the array for as long as the call needs it
+# the first float of a writable array, whose address the kernel takes
 _floats = ctypes.c_float.from_buffer
 
 
@@ -188,12 +192,35 @@ def _adam_kernel() -> ctypes.CDLL | None:
             lib = ctypes.CDLL(lib_path)  # mapped, so the directory can go
         except (OSError, subprocess.SubprocessError):
             return None
-    floats = ctypes.POINTER(ctypes.c_float)
-    lib.adam_all_finite.argtypes = [floats, ctypes.c_size_t]
-    lib.adam_all_finite.restype = ctypes.c_int
-    lib.adam_update.argtypes = [floats] * 4 + [ctypes.c_size_t] + [ctypes.c_float] * 7
-    lib.adam_update.restype = None
+    lib.adam_step_all.argtypes = [ctypes.c_size_t, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
+    lib.adam_step_all.restype = ctypes.c_int
     return lib
+
+
+class _AdamTable:
+    """The kernel's pointer table for one set of parameter and moment
+    arrays: p, g, m, v per tensor, of which only the gradients' slots change
+    from step to step. It holds those arrays, so their memory lives as long
+    as the table, and adam_step builds a new one when any is replaced."""
+
+    def __init__(self, params: list[np.ndarray], ms: list[np.ndarray], vs: list[np.ndarray]):
+        self.arrays = params + ms + vs
+        self.shapes = [p.shape for p in params]
+        # None when a tensor cannot go through the kernel
+        self.ptrs = None
+        if len(ms) == len(vs) == len(params) and all(p.shape == m.shape == v.shape for p, m, v in zip(params, ms, vs)) and all(
+            x.size and x.dtype == np.float32 and x.flags.carray for x in self.arrays
+        ):
+            self.ptrs = (ctypes.c_void_p * (4 * len(params)))()
+            for slot, tensors in ((0, params), (2, ms), (3, vs)):
+                self.ptrs[slot::4] = [ctypes.addressof(_floats(x)) for x in tensors]
+            self.sizes = (ctypes.c_size_t * len(params))(*(p.size for p in params))
+            self.consts = (ctypes.c_float * 7)()
+
+    def __reduce__(self):
+        # a copy of an AdamState starts without a table, since this one
+        # points into the original's arrays
+        return type(None), ()
 
 
 def adam_step(net: DenseNet, grads: Gradients, state: AdamState, lr: float | None = None) -> None:
@@ -202,36 +229,43 @@ def adam_step(net: DenseNet, grads: Gradients, state: AdamState, lr: float | Non
     rounded to float32 once. Gradients are rounded to float32 first, and a
     non-finite one is rejected before any tensor changes.
 
-    The compiled loop and the numpy update do the same float32 operations
-    in the same order, so they give the same bits. A tensor the loop cannot
-    update in place (not a writable, aligned, C-contiguous float32 array
-    the shape of its gradient, or empty) takes the numpy update.
+    The compiled kernel and the numpy update do the same float32 operations
+    in the same order, so they give the same bits. The kernel takes the
+    whole step in one call; if any tensor cannot go through it (not a
+    writable, aligned, C-contiguous float32 array the shape of its
+    gradient, or empty), the whole step takes the numpy update.
     """
-    kernel = _adam_kernel()
     f32 = np.float32
     # from_buffer needs a writable buffer: a C-order copy, rounded as by
     # astype, of any gradient that is not a writable C-contiguous float32 array
     gs = [g if g.dtype == f32 and g.flags.carray else np.array(g, dtype=f32, order="C")
           for g in grads.weights + grads.biases]
-    if kernel is None:
-        finite = all(np.isfinite(g).all() for g in gs)
-    else:
-        finite = all(kernel.adam_all_finite(_floats(g), g.size) for g in gs if g.size)
-    if not finite:
-        raise NonFiniteGradient(f"non-finite gradient at optimizer step {state.step + 1}")
     if lr is None:
         lr = state.lr
-    state.step += 1
-    a = f32(lr / (1.0 - state.beta1 ** state.step))
-    b = f32(1.0 / (1.0 - state.beta2 ** state.step))
+    step = state.step + 1
+    a = f32(lr / (1.0 - state.beta1 ** step))
+    b = f32(1.0 / (1.0 - state.beta2 ** step))
     beta1, beta2, eps = f32(state.beta1), f32(state.beta2), f32(state.eps)
     one_minus_beta1, one_minus_beta2 = f32(1.0 - state.beta1), f32(1.0 - state.beta2)
-    for p, g, m, v in zip(net.weights + net.biases, gs, state.m_weights + state.m_biases, state.v_weights + state.v_biases):
-        in_place = g.size and p.shape == g.shape == m.shape == v.shape and all(x.dtype == f32 and x.flags.carray for x in (p, m, v))
-        if kernel is not None and in_place:
-            kernel.adam_update(_floats(p), _floats(g), _floats(m), _floats(v), g.size,
-                               a, b, beta1, beta2, one_minus_beta1, one_minus_beta2, eps)
-            continue
+    params = net.weights + net.biases
+    ms, vs = state.m_weights + state.m_biases, state.v_weights + state.v_biases
+    arrays, kernel, table = params + ms + vs, _adam_kernel(), state._table
+    if kernel is not None and (table is None or len(table.arrays) != len(arrays)
+                               or not all(map(operator.is_, table.arrays, arrays))):
+        table = state._table = _AdamTable(params, ms, vs)
+    in_kernel = kernel is not None and table.ptrs is not None and [g.shape for g in gs] == table.shapes
+    if in_kernel:
+        table.ptrs[1::4] = [ctypes.addressof(_floats(g)) for g in gs]
+        table.consts[:] = (a, b, beta1, beta2, one_minus_beta1, one_minus_beta2, eps)
+        finite = kernel.adam_step_all(len(gs), table.ptrs, table.sizes, table.consts)
+    else:
+        finite = all(np.isfinite(g).all() for g in gs)
+    if not finite:
+        raise NonFiniteGradient(f"non-finite gradient at optimizer step {step}")
+    state.step = step
+    if in_kernel:
+        return
+    for p, g, m, v in zip(params, gs, ms, vs):
         buf = np.multiply(one_minus_beta1, g)
         m *= beta1
         m += buf

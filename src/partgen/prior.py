@@ -51,11 +51,13 @@ def time_encoding(tau: np.ndarray) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
-def condition_features(conds: Sequence[ConditionSet], d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-padded slot blocks (B, 4d) and presence masks (B, 4)."""
+def condition_features(conds: Sequence[ConditionSet], d: int, dtype: type = np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-padded slot blocks (B, 4d) and presence masks (B, 4) in
+    ``dtype``; each float64 embedding is rounded to ``dtype`` once, as
+    build_inputs rounds it."""
     embeddings, sets, slots = slot_rows(conds, d)
-    blocks = np.zeros((len(conds), SLOT_COUNT, d))
-    masks = np.zeros((len(conds), SLOT_COUNT))
+    blocks = np.zeros((len(conds), SLOT_COUNT, d), dtype=dtype)
+    masks = np.zeros((len(conds), SLOT_COUNT), dtype=dtype)
     blocks[sets, slots] = embeddings
     masks[sets, slots] = 1.0
     return blocks.reshape(len(conds), SLOT_COUNT * d), masks
@@ -266,7 +268,9 @@ def train(config: TrainConfig, dataset: Sequence[tuple[ConditionSet, np.ndarray]
     adam = AdamState.init(net, lr=config.lr)
     rng = np.random.default_rng(combine_seed(config.seed, 0xA11))
     targets = np.stack([t for _, t in dataset])
-    blocks, masks = condition_features([c for c, _ in dataset], d)
+    # float32, the network's input type: half the bytes per gathered row
+    # and the same bits in the inputs as a float64 table rounded there
+    blocks, masks = condition_features([c for c, _ in dataset], d, np.float32)
     losses: list[float] = []
     for step in range(1, config.steps + 1):
         idx = rng.integers(0, len(dataset), size=config.batch_size)

@@ -93,8 +93,13 @@ class RenderConfig:
         for name, value in self.to_dict().items():
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
                 raise ValidationError(f"render {name} must be a finite number, got {value!r}")
-        if self.resolution <= 0 or self.steps <= 0 or self.guidance_scale <= 0:
-            raise ValidationError("render settings must be positive")
+        for name in ("resolution", "steps"):  # a float of integral value, such as 50.0, stays
+            value = getattr(self, name)
+            if value < 1 or value != math.floor(value):
+                raise ValidationError(f"render {name} must be a whole number >= 1, got {value!r}")
+        for name in ("guidance_scale", "scheduler_shift"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(f"render {name} must be > 0, got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return {

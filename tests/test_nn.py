@@ -112,6 +112,34 @@ def _quadratic_loss(net: DenseNet, x: np.ndarray, y: np.ndarray, dtype=np.float6
     return loss, grads
 
 
+def _adam_arrays(net: DenseNet, state: AdamState) -> list[np.ndarray]:
+    return net.weights + net.biases + state.m_weights + state.v_weights + state.m_biases + state.v_biases
+
+
+def _assert_same_bits(got: list[np.ndarray], want: list[np.ndarray]) -> None:
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.float32
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+@pytest.fixture
+def kernel_calls(adam_update, monkeypatch) -> list[int]:
+    """What each adam_step_all call of the test returned: one entry per
+    step the compiled kernel took, none on the numpy path."""
+    calls: list[int] = []
+    kernel = nn._adam_kernel()
+    if kernel is not None:
+        call = kernel.adam_step_all
+
+        def recorded(*args):
+            calls.append(call(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(kernel, "adam_step_all", recorded)
+    return calls
+
+
 class TestForward:
     def test_shapes(self, small_net):
         x = np.random.default_rng(0).standard_normal((5, 6))
@@ -263,42 +291,101 @@ class TestAdam:
                 assert np.array_equal(_bits(a), _bits(b))
 
 
+def _extreme_run(net: DenseNet, state: AdamState, ref_net: DenseNet, ref_state: AdamState) -> None:
+    """200 steps of extreme gradients, some float64 or strided, through
+    adam_step and the reference, then the two compared bit for bit. Each
+    element keeps its decade for the whole run, so subnormal, ordinary and
+    overflowing elements all last 200 steps."""
+    rng = np.random.default_rng(12)
+    shapes = [w.shape for w in net.weights] + [b.shape for b in net.biases]
+    centres = [rng.uniform(-46.0, 31.0, size=shape) for shape in shapes]
+    for step in range(1, 201):
+        gs = [_extreme_gradient(rng, centre) for centre in centres]
+        gs[1] = _extreme_gradient(rng, centres[1], np.float64)  # rounded to float32 by the update
+        gs[2] = _extreme_gradient(rng, centres[2].T).T  # a transposed view
+        gs[5] = np.repeat(gs[5], 2)[::2]  # a strided view
+        grads = Gradients(weights=gs[:3], biases=gs[3:])
+        lr = 1e-2 * 0.5 * (1.0 + np.cos(np.pi * step / 200))
+        adam_step(net, grads, state, lr=lr)
+        _reference_adam_step(ref_net, grads, ref_state, lr)
+    assert state.step == ref_state.step == 200
+    # every regime was reached: subnormal first moments, zero, ordinary
+    # and infinite second moments
+    m = np.abs(np.concatenate([m.ravel() for m in state.m_weights + state.m_biases]))
+    v = np.concatenate([v.ravel() for v in state.v_weights + state.v_biases])
+    tiny = np.finfo(np.float32).tiny
+    assert ((0 < m) & (m < tiny)).any()
+    assert (v == 0).any() and ((tiny <= v) & (v < np.inf)).any() and np.isinf(v).any()
+    _assert_same_bits(_adam_arrays(net, state), _adam_arrays(ref_net, ref_state))
+
+
 class TestAdamKernel:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_matches_reference_bitwise_over_extreme_gradients(self, small_net, adam_update):
-        # each element keeps its decade for the whole run, so subnormal,
-        # ordinary and overflowing elements all last 200 steps
+    def test_matches_reference_bitwise_over_extreme_gradients(self, small_net, kernel_calls):
+        # a Fortran-order parameter and a strided moment send every step
+        # to the numpy update
         net, ref_net = small_net, copy.deepcopy(small_net)
-        # a Fortran-order parameter and a strided moment take the numpy update
         net.weights[0] = np.asfortranarray(net.weights[0])
         ref_net.weights[0] = np.asfortranarray(ref_net.weights[0])
         state, ref_state = AdamState.init(net), AdamState.init(ref_net)
         state.v_biases[1] = np.zeros(2 * net.biases[1].size, dtype=np.float32)[::2]
-        rng = np.random.default_rng(12)
-        shapes = [w.shape for w in net.weights] + [b.shape for b in net.biases]
-        centres = [rng.uniform(-46.0, 31.0, size=shape) for shape in shapes]
-        for step in range(1, 201):
-            gs = [_extreme_gradient(rng, centre) for centre in centres]
-            gs[1] = _extreme_gradient(rng, centres[1], np.float64)  # rounded to float32 by the update
-            gs[2] = _extreme_gradient(rng, centres[2].T).T  # a transposed view
-            gs[5] = np.repeat(gs[5], 2)[::2]  # a strided view
-            grads = Gradients(weights=gs[:3], biases=gs[3:])
-            lr = 1e-2 * 0.5 * (1.0 + np.cos(np.pi * step / 200))
-            adam_step(net, grads, state, lr=lr)
-            _reference_adam_step(ref_net, grads, ref_state, lr)
-        assert state.step == ref_state.step == 200
-        got = net.weights + net.biases + state.m_weights + state.v_weights + state.m_biases + state.v_biases
-        want = ref_net.weights + ref_net.biases + ref_state.m_weights + ref_state.v_weights + ref_state.m_biases + ref_state.v_biases
-        # every regime was reached: subnormal first moments, zero, ordinary
-        # and infinite second moments
-        m = np.abs(np.concatenate([m.ravel() for m in state.m_weights + state.m_biases]))
-        v = np.concatenate([v.ravel() for v in state.v_weights + state.v_biases])
-        tiny = np.finfo(np.float32).tiny
-        assert ((0 < m) & (m < tiny)).any()
-        assert (v == 0).any() and ((tiny <= v) & (v < np.inf)).any() and np.isinf(v).any()
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype == np.float32
-            assert np.array_equal(_bits(a), _bits(b))
+        _extreme_run(net, state, ref_net, ref_state)
+        assert kernel_calls == []
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_matches_reference_bitwise_over_extreme_gradients_in_one_call(self, small_net, adam_update, kernel_calls):
+        # every parameter and moment can go through the kernel, so on its
+        # path each step is one adam_step_all call
+        net, ref_net = small_net, copy.deepcopy(small_net)
+        state, ref_state = AdamState.init(net), AdamState.init(ref_net)
+        _extreme_run(net, state, ref_net, ref_state)
+        assert kernel_calls == ([1] * 200 if adam_update == "kernel" else [])
+
+    def test_replaced_arrays_take_the_next_update(self, small_net, adam_update, kernel_calls, tmp_path):
+        # the kernel keeps the addresses of the parameters and moments from
+        # step to step: an array replaced between steps must take the next
+        # update, and the array it replaced must keep its bits
+        net, ref_net = small_net, copy.deepcopy(small_net)
+        state, ref_state = AdamState.init(net), AdamState.init(ref_net)
+        rng = np.random.default_rng(15)
+        x, y = rng.standard_normal((8, 6)), rng.standard_normal((8, 4))
+
+        def step_both() -> None:
+            _, grads = _quadratic_loss(net, x, y, dtype=np.float32)
+            adam_step(net, grads, state, lr=1e-2)
+            _reference_adam_step(ref_net, grads, ref_state, 1e-2)
+            _assert_same_bits(_adam_arrays(net, state), _adam_arrays(ref_net, ref_state))
+
+        step_both()
+        for which in ("weight", "moment", "state"):
+            if which == "weight":
+                old = [net.weights[0]]
+                net.weights[0] = net.weights[0].copy()
+            elif which == "moment":
+                old = [state.m_biases[1]]
+                state.m_biases[1] = state.m_biases[1].copy()
+            else:
+                save_checkpoint(net, tmp_path / "net.bin", adam=state)
+                old = state.m_weights + state.v_weights + state.m_biases + state.v_biases
+                _, state = load_checkpoint(tmp_path / "net.bin")
+            kept = [a.copy() for a in old]
+            step_both()
+            _assert_same_bits(old, kept)
+        assert kernel_calls == ([1] * 4 if adam_update == "kernel" else [])
+
+    def test_a_deep_copy_updates_its_own_arrays(self, small_net, adam_update, kernel_calls):
+        # a copied state must not carry over the original's addresses
+        state = AdamState.init(small_net)
+        _, grads = _quadratic_loss(small_net, np.ones((2, 6)), np.ones((2, 4)), dtype=np.float32)
+        adam_step(small_net, grads, state)
+        net2, state2 = copy.deepcopy((small_net, state))
+        kept = [a.copy() for a in _adam_arrays(small_net, state)]
+        ref_net, ref_state = copy.deepcopy((small_net, state))
+        adam_step(net2, grads, state2)
+        _reference_adam_step(ref_net, grads, ref_state, state.lr)
+        _assert_same_bits(_adam_arrays(small_net, state), kept)
+        _assert_same_bits(_adam_arrays(net2, state2), _adam_arrays(ref_net, ref_state))
+        assert kernel_calls == ([1] * 2 if adam_update == "kernel" else [])
 
     @pytest.mark.parametrize(
         "dtype, bad",
@@ -306,7 +393,7 @@ class TestAdamKernel:
         ids=["nan", "inf", "-inf", "float64 nan", "float64 beyond float32"],
     )
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
-    def test_nonfinite_gradient_at_any_tensor_changes_nothing(self, small_net, adam_update, dtype, bad):
+    def test_nonfinite_gradient_at_any_tensor_changes_nothing(self, small_net, adam_update, kernel_calls, dtype, bad):
         rng = np.random.default_rng(13)
         x, y = rng.standard_normal((8, 6)), rng.standard_normal((8, 4))
         state = AdamState.init(small_net)
@@ -325,6 +412,9 @@ class TestAdamKernel:
             for name in ("m_weights", "v_weights", "m_biases", "v_biases"):
                 for a, b in zip(getattr(state, name), getattr(before[1], name)):
                     assert np.array_equal(_bits(a), _bits(b))
+        # on the kernel's path, the check ran in adam_step_all and refused
+        # each bad step there
+        assert kernel_calls == ([1] + [0] * 2 * small_net.n_layers if adam_update == "kernel" else [])
 
     def test_a_failed_compile_falls_back_to_numpy(self, small_net, tmp_path, monkeypatch):
         bad = tmp_path / "_adam.c"

@@ -126,6 +126,17 @@ class TestEncodings:
             assert blocks.shape == ref_blocks.shape and masks.shape == ref_masks.shape
             assert blocks.tobytes() == ref_blocks.tobytes() and masks.tobytes() == ref_masks.tobytes()
 
+    def test_float32_condition_features_are_the_float64_ones_rounded(self, taxonomy, world):
+        # train's float32 table must put the bits a float64 table rounded by
+        # build_inputs would put into the network's inputs
+        conds = [condition_set(r.atoms, world) for r in generate_corpus(taxonomy, 300, master_seed=5)]
+        for batch in (conds, conds[:1], []):
+            blocks, masks = condition_features(batch, world.d, dtype=np.float32)
+            blocks64, masks64 = condition_features(batch, world.d)
+            assert blocks.dtype == masks.dtype == np.float32
+            assert blocks.tobytes() == blocks64.astype(np.float32).tobytes()
+            assert masks.tobytes() == masks64.astype(np.float32).tobytes()
+
 
 class TestNoiseSchedule:
     def test_alpha_bar_boundaries(self):

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -312,11 +313,15 @@ class TestCorpus:
         [("subject", "Lion"), ("domain", "gadget"), ("part", 7), ("id", "seven"), ("id", 2.7), ("id", True),
          ("seed", "12"), ("seed", True), ("seed", -1), ("seed", 2**64), ("domain_mix", "no"), ("domain_mix", 1),
          ("text", 5), ("prefix", ["x"]), ("resolution", True), ("steps", "50"), ("guidance_scale", True),
-         ("guidance_scale", float("nan")), ("scheduler_shift", None), ("scheduler_shift", float("-inf"))],
+         ("guidance_scale", float("nan")), ("scheduler_shift", None), ("scheduler_shift", float("-inf")),
+         ("resolution", 1024.5), ("steps", 0.5), ("steps", 0), ("resolution", -512), ("scheduler_shift", 0.0),
+         ("scheduler_shift", -3.0), ("guidance_scale", 0)],
         ids=["uppercase-subject", "unknown-domain", "numeric-part", "non-numeric-id", "fractional-id", "bool-id",
              "string-seed", "bool-seed", "negative-seed", "seed-2-to-the-64", "string-domain-mix", "integer-domain-mix",
              "numeric-text", "list-prefix", "bool-resolution", "string-render-steps", "bool-guidance-scale",
-             "nan-guidance-scale", "null-scheduler-shift", "infinite-scheduler-shift"],
+             "nan-guidance-scale", "null-scheduler-shift", "infinite-scheduler-shift", "fractional-resolution",
+             "fractional-render-steps", "zero-render-steps", "negative-resolution", "zero-scheduler-shift",
+             "negative-scheduler-shift", "zero-guidance-scale"],
     )
     def test_read_corpus_names_the_line_of_a_bad_record(self, taxonomy, tmp_path, field, value):
         records = [r.to_dict() for r in generate_corpus(taxonomy, 3, master_seed=0)]
@@ -326,7 +331,12 @@ class TestCorpus:
             named = field
         elif field in records[1]["render"]:
             records[1]["render"][field] = value
-            named = f"render {field} must be a finite number"
+            if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+                named = f"render {field} must be a finite number"
+            elif field in ("resolution", "steps"):
+                named = rf"render {field} must be a whole number >= 1, got {value!r}"
+            else:
+                named = rf"render {field} must be > 0, got {value!r}"
         else:
             records[1]["atoms"][0][field] = value
         path = tmp_path / "corpus.jsonl"
