@@ -12,11 +12,12 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -206,6 +207,27 @@ def _parse_atom_spec(spec: str, world: WorldSpec) -> list[SemanticAtom]:
     return atoms
 
 
+@contextlib.contextmanager
+def _outputs(out_dir: Path) -> Iterator[dict[str, Path]]:
+    """Creates ``out_dir`` and yields a dict, in which the caller names each
+    file before it writes it. If the block raises, every named file, and
+    every directory made here, is removed before the exception goes on, so
+    a failed stage leaves nothing behind."""
+    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]  # deepest first
+    files: dict[str, Path] = {}
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        yield files
+    except BaseException:
+        for path in files.values():
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
+        for path in made:
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
+
+
 # stages, shared by the pipeline and the subcommands; each takes a checked config
 
 def _corpus(taxonomy: Taxonomy, config: dict, held_out: bool = False):
@@ -322,91 +344,91 @@ def run_eval_stage(net, config: dict, eval_records: list[HybridPrompt], world: W
     targets = compose_targets(conds, world)
     generated = _sample_batch(net, config, conds, world.d)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts: dict[str, Path] = {"samples": out_dir / "samples.jsonl"}
-    decoded_all = []
-    with open(artifacts["samples"], "w", encoding="utf-8") as fh:
-        for record, cond, gen, target in zip(eval_records, conds, generated, targets):
-            decoded = decode_parts(gen, cond.k, world)
-            decoded_all.append(decoded)
-            fh.write(json.dumps(_sample_record_json(record.id, cond.atoms, gen, target, decoded)) + "\n")
+    with _outputs(out_dir) as artifacts:
+        artifacts["samples"] = out_dir / "samples.jsonl"
+        decoded_all = []
+        with open(artifacts["samples"], "w", encoding="utf-8") as fh:
+            for record, cond, gen, target in zip(eval_records, conds, generated, targets):
+                decoded = decode_parts(gen, cond.k, world)
+                decoded_all.append(decoded)
+                fh.write(json.dumps(_sample_record_json(record.id, cond.atoms, gen, target, decoded)) + "\n")
 
-    slot_matches, comp_acc, comp_by_k = slot_match(decoded_all, conds)
-    cosines = np.sum(generated * targets, axis=1)
+        slot_matches, comp_acc, comp_by_k = slot_match(decoded_all, conds)
+        cosines = np.sum(generated * targets, axis=1)
 
-    jobs = [
-        ({"decoded": decoded, "slot": slot}, parteval_questions(atom))
-        for cond, decoded in zip(conds, decoded_all)
-        for slot, atom in enumerate(cond.atoms)
-    ]
-    grades = parteval_grade_many(OracleGrader(), jobs)
-    graded = iter(grades)  # k jobs per sample, in sample order
-    sample_grades = [[next(graded) for _ in range(cond.k)] for cond in conds]
-    parteval_overall = parteval_score(grades)
-    parteval_by_k = {
-        k: parteval_score([g for cond, gs in zip(conds, sample_grades) if cond.k == k for g in gs])
-        for k in sorted({c.k for c in conds})
-    }
-
-    fid_value = fid(gaussian_stats(generated), gaussian_stats(targets))
-    kid_rng = np.random.default_rng(combine_seed(config["sample_seed"], 3210))
-    kid_mean, kid_std = kid(generated, targets, subset_size=min(100, len(conds)), n_subsets=config["kid_subsets"], rng=kid_rng)
-
-    per_sample = []
-    for i, (record, cond) in enumerate(zip(eval_records, conds)):
-        per_sample.append({
-            "id": record.id,
-            "k": cond.k,
-            "cosine": float(cosines[i]),
-            "slot_match": slot_matches[i],
-            "parteval": float(np.mean([g.normalized for g in sample_grades[i]])),
-        })
-
-    metrics = {
-        "mean_cosine": float(cosines.mean()),
-        "compositional_accuracy": comp_acc,
-        "compositional_accuracy_by_k": {str(k): v for k, v in comp_by_k.items()},
-        "fid_to_oracle": fid_value,
-        "kid_mean": kid_mean,
-        "kid_std": kid_std,
-        "parteval": parteval_overall,
-        "parteval_by_k": {str(k): v for k, v in parteval_by_k.items()},
-    }
-
-    report = {
-        "metric": "eval_summary",
-        "model": config["label"],
-        "metrics": metrics,
-        "per_sample": per_sample,
-        "final_score": comp_acc,
-    }
-    artifacts["report"] = out_dir / "report.json"
-    write_report(artifacts["report"], report)
-
-    for k, score in parteval_by_k.items():
-        k_report = {
-            "metric": "parteval",
-            "model": config["label"],
-            "complexity": k,
-            "per_sample": [s for s in per_sample if s["k"] == k],
-            "final_score": score,
+        jobs = [
+            ({"decoded": decoded, "slot": slot}, parteval_questions(atom))
+            for cond, decoded in zip(conds, decoded_all)
+            for slot, atom in enumerate(cond.atoms)
+        ]
+        grades = parteval_grade_many(OracleGrader(), jobs)
+        graded = iter(grades)  # k jobs per sample, in sample order
+        sample_grades = [[next(graded) for _ in range(cond.k)] for cond in conds]
+        parteval_overall = parteval_score(grades)
+        parteval_by_k = {
+            k: parteval_score([g for cond, gs in zip(conds, sample_grades) if cond.k == k for g in gs])
+            for k in sorted({c.k for c in conds})
         }
-        artifacts[f"parteval_{k}part"] = out_dir / f"parteval_{k}part.json"
-        write_report(artifacts[f"parteval_{k}part"], k_report)
 
-    artifacts["metrics_chart"] = out_dir / "metrics.svg"
-    artifacts["metrics_chart"].write_text(
-        svg_bar_chart(
-            {
-                "mean cosine": metrics["mean_cosine"],
-                "comp. accuracy": metrics["compositional_accuracy"],
-                "parteval": metrics["parteval"],
-                "fid": metrics["fid_to_oracle"],
-            },
-            title=f"{config['label']}: evaluation metrics",
-        ),
-        encoding="utf-8",
-    )
+        fid_value = fid(gaussian_stats(generated), gaussian_stats(targets))
+        kid_rng = np.random.default_rng(combine_seed(config["sample_seed"], 3210))
+        kid_mean, kid_std = kid(generated, targets, subset_size=min(100, len(conds)), n_subsets=config["kid_subsets"], rng=kid_rng)
+
+        per_sample = []
+        for i, (record, cond) in enumerate(zip(eval_records, conds)):
+            per_sample.append({
+                "id": record.id,
+                "k": cond.k,
+                "cosine": float(cosines[i]),
+                "slot_match": slot_matches[i],
+                "parteval": float(np.mean([g.normalized for g in sample_grades[i]])),
+            })
+
+        metrics = {
+            "mean_cosine": float(cosines.mean()),
+            "compositional_accuracy": comp_acc,
+            "compositional_accuracy_by_k": {str(k): v for k, v in comp_by_k.items()},
+            "fid_to_oracle": fid_value,
+            "kid_mean": kid_mean,
+            "kid_std": kid_std,
+            "parteval": parteval_overall,
+            "parteval_by_k": {str(k): v for k, v in parteval_by_k.items()},
+        }
+
+        report = {
+            "metric": "eval_summary",
+            "model": config["label"],
+            "metrics": metrics,
+            "per_sample": per_sample,
+            "final_score": comp_acc,
+        }
+        artifacts["report"] = out_dir / "report.json"
+        write_report(artifacts["report"], report)
+
+        for k, score in parteval_by_k.items():
+            k_report = {
+                "metric": "parteval",
+                "model": config["label"],
+                "complexity": k,
+                "per_sample": [s for s in per_sample if s["k"] == k],
+                "final_score": score,
+            }
+            artifacts[f"parteval_{k}part"] = out_dir / f"parteval_{k}part.json"
+            write_report(artifacts[f"parteval_{k}part"], k_report)
+
+        artifacts["metrics_chart"] = out_dir / "metrics.svg"
+        artifacts["metrics_chart"].write_text(
+            svg_bar_chart(
+                {
+                    "mean cosine": metrics["mean_cosine"],
+                    "comp. accuracy": metrics["compositional_accuracy"],
+                    "parteval": metrics["parteval"],
+                    "fid": metrics["fid_to_oracle"],
+                },
+                title=f"{config['label']}: evaluation metrics",
+            ),
+            encoding="utf-8",
+        )
     return artifacts, metrics
 
 
@@ -449,33 +471,34 @@ def _run_pipeline(config: dict, out_dir: Path) -> int:
     stage = "setup"
     try:
         taxonomy = _resolve_taxonomy(config["taxonomy"])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        world = _world(taxonomy, config)
-        artifacts: dict[str, Path] = {}
+        with _outputs(out_dir) as artifacts:
+            world = _world(taxonomy, config)
 
-        stage = "corpus"
-        artifacts["corpus"] = out_dir / "corpus.jsonl"
-        write_corpus(_corpus(taxonomy, config), artifacts["corpus"])
-        artifacts["eval_corpus"] = out_dir / "eval_corpus.jsonl"
-        eval_records = list(_corpus(taxonomy, config, held_out=True))
-        write_corpus(eval_records, artifacts["eval_corpus"])
+            stage = "corpus"
+            artifacts["corpus"] = out_dir / "corpus.jsonl"
+            write_corpus(_corpus(taxonomy, config), artifacts["corpus"])
+            artifacts["eval_corpus"] = out_dir / "eval_corpus.jsonl"
+            eval_records = list(_corpus(taxonomy, config, held_out=True))
+            write_corpus(eval_records, artifacts["eval_corpus"])
 
-        stage = "dataset"
-        dataset = make_dataset(read_corpus(artifacts["corpus"]), taxonomy, world)
+            stage = "dataset"
+            dataset = make_dataset(read_corpus(artifacts["corpus"]), taxonomy, world)
 
-        stage = "train"
-        artifacts["checkpoint"] = out_dir / "checkpoint.bin"
-        artifacts["loss_curve"] = out_dir / "loss.csv"
-        result = _train_stage(config, dataset, artifacts["checkpoint"], artifacts["loss_curve"])
+            stage = "train"
+            artifacts["checkpoint"] = out_dir / "checkpoint.bin"
+            artifacts["loss_curve"] = out_dir / "loss.csv"
+            result = _train_stage(config, dataset, artifacts["checkpoint"], artifacts["loss_curve"])
 
-        stage = "eval"
-        eval_artifacts, metrics = run_eval_stage(result.net, config, eval_records, world, out_dir)
-        artifacts.update(eval_artifacts)
+            stage = "eval"
+            eval_artifacts, metrics = run_eval_stage(result.net, config, eval_records, world, out_dir)
+            artifacts.update(eval_artifacts)
 
-        stage = "manifest"
-        seeds = {key: config[key] for key in ("master_seed", "eval_seed", "world_seed", "train_seed", "sample_seed")}
-        manifest = build_manifest(config, seeds, artifacts, out_dir)
-        write_manifest(manifest, out_dir / "manifest.json")
+            stage = "manifest"
+            seeds = {key: config[key] for key in ("master_seed", "eval_seed", "world_seed", "train_seed", "sample_seed")}
+            manifest = build_manifest(config, seeds, artifacts, out_dir)
+            # named once build_manifest has read the artifacts, which it is not one of
+            artifacts["manifest"] = out_dir / "manifest.json"
+            write_manifest(manifest, artifacts["manifest"])
     except (PartgenError, OSError, ValueError, MemoryError) as exc:
         print(f"pipeline stage {stage!r} failed: {exc}", file=sys.stderr)
         return 1

@@ -6,11 +6,11 @@ to float64 so central differences are limited by truncation error rather
 than rounding. Scalar reductions (losses, finite differences) always
 accumulate in float64. Adam updates in float32, in place, like the
 parameters and its moments, whatever the type of the learning rate. The
-update runs as one compiled call per step over every tensor (_adam.c,
-built with the system's cc on a process's first Adam step), through a
-table of the parameters' and moments' addresses that AdamState keeps while
-those arrays stay the same. It falls back to numpy, with the same bits,
-where that cannot be built or a tensor cannot go through it.
+update runs as one compiled call per step over every tensor (_kernels.c,
+built with the system's cc at a process's first use of the library),
+through a table of the parameters' and moments' addresses that AdamState
+keeps while those arrays stay the same. It falls back to numpy, with the
+same bits, where that cannot be built or a tensor cannot go through it.
 """
 
 from __future__ import annotations
@@ -164,36 +164,39 @@ class AdamState:
         )
 
 
-_ADAM_SOURCE = Path(__file__).with_name("_adam.c")
+_KERNELS_SOURCE = Path(__file__).with_name("_kernels.c")
 # -ffp-contract=off keeps each multiply and add rounded on its own, as in
 # numpy, and -O3 is needed to vectorize sqrt and the division. Never
 # -ffast-math or -Ofast (they reorder arithmetic and set flush-to-zero for
 # the whole process) nor -march=native (the build would vary by host CPU);
-# _adam.c picks its instruction set at load time instead.
-_ADAM_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
-_ADAM_BUILD_TIMEOUT_S = 60
+# _kernels.c picks its instruction set at load time instead.
+_KERNELS_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
+_KERNELS_BUILD_TIMEOUT_S = 60
 # the first float of a writable array, whose address the kernel takes
 _floats = ctypes.c_float.from_buffer
 
 
 @functools.cache
-def _adam_kernel() -> ctypes.CDLL | None:
-    """_adam.c compiled by cc and loaded, once per process at the first
-    call; None when there is no cc, the compile fails or the library does
-    not load, and adam_step then runs the numpy update."""
+def _kernels() -> ctypes.CDLL | None:
+    """_kernels.c compiled by cc and loaded, once per process at the first
+    call (adam_step's or world._pair_sweep's); None when there is no cc, the
+    compile fails or the library does not load, and its callers then run
+    numpy's operations."""
     import subprocess  # here, not at import, so the CLI starts without it
 
     with tempfile.TemporaryDirectory() as tmp:
-        lib_path = os.path.join(tmp, "_adam.so")
-        command = ["cc", *_ADAM_CFLAGS, "-o", lib_path, str(_ADAM_SOURCE), "-lm"]
+        lib_path = os.path.join(tmp, "_kernels.so")
+        command = ["cc", *_KERNELS_CFLAGS, "-o", lib_path, str(_KERNELS_SOURCE), "-lm"]
         try:
-            if subprocess.run(command, capture_output=True, timeout=_ADAM_BUILD_TIMEOUT_S).returncode != 0:
+            if subprocess.run(command, capture_output=True, timeout=_KERNELS_BUILD_TIMEOUT_S).returncode != 0:
                 return None
             lib = ctypes.CDLL(lib_path)  # mapped, so the directory can go
         except (OSError, subprocess.SubprocessError):
             return None
     lib.adam_step_all.argtypes = [ctypes.c_size_t, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
     lib.adam_step_all.restype = ctypes.c_int
+    lib.pair_grid.argtypes = [ctypes.c_size_t, ctypes.c_void_p, ctypes.c_size_t] + [ctypes.c_void_p] * 6 + [ctypes.c_size_t, ctypes.c_void_p]
+    lib.pair_grid.restype = ctypes.c_int64
     return lib
 
 
@@ -249,7 +252,7 @@ def adam_step(net: DenseNet, grads: Gradients, state: AdamState, lr: float | Non
     one_minus_beta1, one_minus_beta2 = f32(1.0 - state.beta1), f32(1.0 - state.beta2)
     params = net.weights + net.biases
     ms, vs = state.m_weights + state.m_biases, state.v_weights + state.v_biases
-    arrays, kernel, table = params + ms + vs, _adam_kernel(), state._table
+    arrays, kernel, table = params + ms + vs, _kernels(), state._table
     if kernel is not None and (table is None or len(table.arrays) != len(arrays)
                                or not all(map(operator.is_, table.arrays, arrays))):
         table = state._table = _AdamTable(params, ms, vs)

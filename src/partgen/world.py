@@ -20,7 +20,11 @@ at the top _PAIR_TOP columns of slot j, and bounded off them by
 (c + s_i[a] + s_j^(T+1)) / sqrt(L_a), with L_a the row's squared-norm terms
 at their column minima. The bound repeats the cells' float operations in
 their order, so monotone rounding keeps it exact: the sweep returns the full
-grid's argmax, the first index on ties.
+grid's argmax, the first index on ties. The top-column block and the kept
+rows are scored by pair_grid in the compiled library (_kernels.c, shared
+with the Adam update) or, without it, by numpy, with the same operations in
+the same order and so the same bits. Each slot's scores, and their order,
+are computed once per decode and handed to every rung of the ladder.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, UnknownAtom, ValidationError
 from .hashing import seeded_generators, tagged_seeds
+from .nn import _kernels
 from .taxonomy import MAX_ATOMS_PER_PROMPT, MIN_ATOMS_PER_PROMPT, HybridPrompt, SemanticAtom, Taxonomy, enumerate_atoms
 
 DEFAULT_WORLD_SEED = 8
@@ -162,7 +167,7 @@ def _composite_cosine(world: WorldSpec, e: np.ndarray, tuple_idx: Sequence[int])
     return float(e @ v) / float(np.linalg.norm(v))
 
 
-def _single_sweeps(world: WorldSpec, e: np.ndarray, est: list[int], k: int) -> list[int]:
+def _single_sweeps(world: WorldSpec, e: np.ndarray, est: list[int], k: int, scores: list[np.ndarray]) -> list[int]:
     # coordinate ascent, one slot at a time, on the composite cosine
     for _ in range(_MAX_SINGLE_SWEEPS):
         changed = False
@@ -171,9 +176,8 @@ def _single_sweeps(world: WorldSpec, e: np.ndarray, est: list[int], k: int) -> l
             for j in range(k):
                 if j != i:
                     v_other += world.rotated_embeddings[j][est[j]]
-            scores_i = world.rotated_embeddings[i] @ e
             cross_i = world.rotated_embeddings[i] @ v_other
-            num = float(e @ v_other) + scores_i
+            num = float(e @ v_other) + scores[i]
             den = np.sqrt(float(v_other @ v_other) + 1.0 + 2.0 * cross_i)
             best = int(np.argmax(num / den))
             if best != est[i]:
@@ -184,7 +188,40 @@ def _single_sweeps(world: WorldSpec, e: np.ndarray, est: list[int], k: int) -> l
     return est
 
 
-def _pair_sweep(world: WorldSpec, e: np.ndarray, est: list[int], k: int) -> tuple[list[int], bool]:
+def _pair_grid(row_num: np.ndarray, row_den2: np.ndarray, scores_j: np.ndarray, cross_j: np.ndarray, gram: np.ndarray,
+               rows: np.ndarray | None = None, cols: np.ndarray | None = None) -> tuple[np.ndarray, int, int]:
+    """The pair grid's cells (row_num[a] + scores_j[b]) / sqrt((row_den2[a] +
+    2 cross_j[b]) + 2 gram[a, b]) at ``rows`` x ``cols`` (None: every one):
+    each row's maximum, and the row and column of the first maximal cell. A
+    NaN cell is its row's maximum, and the first one the argmax, as in numpy.
+
+    The compiled pair_grid scores the cells when it is built and the arrays
+    are C-contiguous float64 (int64 indices); numpy does otherwise. Both do
+    the same float64 operations in the same order, so they give the same
+    cells and argmax; of the row maxima, only the sign of a zero that ties
+    0.0 with -0.0 and the payload of a NaN may differ, which the sweep's
+    comparisons do not see.
+    """
+    lib = _kernels()
+    floats, indices = (row_num, row_den2, scores_j, cross_j, gram), (rows, cols)
+    if lib is not None and all(x.dtype == np.float64 and x.flags.c_contiguous for x in floats) and all(
+            x is None or (x.dtype == np.int64 and x.flags.c_contiguous) for x in indices):
+        n_cols = len(scores_j) if cols is None else len(cols)
+        row_max = np.empty(len(row_num) if rows is None else len(rows))
+        flat = lib.pair_grid(len(row_max), None if rows is None else rows.ctypes.data, n_cols, None if cols is None else cols.ctypes.data,
+                             row_num.ctypes.data, row_den2.ctypes.data, scores_j.ctypes.data, cross_j.ctypes.data, gram.ctypes.data,
+                             gram.shape[1], row_max.ctypes.data)
+        return row_max, *divmod(int(flat), n_cols)
+    rows = slice(None) if rows is None else rows
+    cols = slice(None) if cols is None else cols
+    cells = (row_num[rows, None] + scores_j[cols]) / np.sqrt(row_den2[rows, None] + 2.0 * cross_j[cols] + 2.0 * gram[rows, cols])
+    row_max = cells.max(axis=1)
+    r = int(np.argmax(row_max))
+    return row_max, r, int(np.argmax(cells[r]))
+
+
+def _pair_sweep(world: WorldSpec, e: np.ndarray, est: list[int], k: int,
+                scores: list[np.ndarray], orders: list[np.ndarray]) -> tuple[list[int], bool]:
     # joint update of every slot pair; escapes two-slot local maxima. Cell
     # (a, b) is ((c + s_i[a]) + s_j[b]) / sqrt(((base + 2 x_i[a]) + 2 x_j[b])
     # + 2 G[a, b]), x the cross terms with the other slots. Off the top
@@ -194,7 +231,9 @@ def _pair_sweep(world: WorldSpec, e: np.ndarray, est: list[int], k: int) -> tupl
     # holds for the float cells. A row whose top-column maximum and bound
     # are both below the best top-column value (less a 1e-9 relative slack)
     # cannot hold the maximum; the kept rows, scored in full in ascending
-    # order, give the full grid's argmax, the first index on ties.
+    # order, give the full grid's argmax, the first index on ties. The top
+    # columns and the kept rows are scored by _pair_grid, compiled or in
+    # numpy with the same bits; the bound is numpy's.
     changed = False
     n = len(world.atoms)
     for i in range(k):
@@ -204,18 +243,13 @@ def _pair_sweep(world: WorldSpec, e: np.ndarray, est: list[int], k: int) -> tupl
                 if m not in (i, j):
                     v_other += world.rotated_embeddings[m][est[m]]
             base = float(v_other @ v_other) + 2.0
-            scores_i = world.rotated_embeddings[i] @ e
-            scores_j = world.rotated_embeddings[j] @ e
+            scores_j, order = scores[j], orders[j]
             cross_i = world.rotated_embeddings[i] @ v_other
             cross_j = world.rotated_embeddings[j] @ v_other
             gram = world.pair_gram(i, j)
-            row_num = float(e @ v_other) + scores_i
+            row_num = float(e @ v_other) + scores[i]
             row_den2 = base + 2.0 * cross_i
-            order = np.argsort(-scores_j, kind="stable")
-            top = order[:_PAIR_TOP]
-            top_max = (
-                (row_num[:, None] + scores_j[top]) / np.sqrt(row_den2[:, None] + 2.0 * cross_j[top] + 2.0 * gram[:, top])
-            ).max(axis=1)
+            top_max, _, _ = _pair_grid(row_num, row_den2, scores_j, cross_j, gram, cols=order[:_PAIR_TOP])
             best = float(top_max.max())
             floor = best - 1e-9 * abs(best)
             # the next-best score; the last one when every column is a top column
@@ -228,9 +262,7 @@ def _pair_sweep(world: WorldSpec, e: np.ndarray, est: list[int], k: int) -> tupl
             ok = (rest_num > 0.0) & (low_den2 > 0.0)
             bound[ok] = rest_num[ok] / np.sqrt(low_den2[ok])
             rows = np.flatnonzero(~((top_max < floor) & (bound < floor)))
-            num = row_num[rows, None] + scores_j[None, :]
-            den = np.sqrt(row_den2[rows, None] + 2.0 * cross_j[None, :] + 2.0 * gram[rows])
-            r, b = divmod(int(np.argmax(num / den)), n)
+            _, r, b = _pair_grid(row_num, row_den2, scores_j, cross_j, gram, rows=rows)
             a = int(rows[r])
             if (a, b) != (est[i], est[j]):
                 est[i], est[j] = a, b
@@ -238,12 +270,12 @@ def _pair_sweep(world: WorldSpec, e: np.ndarray, est: list[int], k: int) -> tupl
     return est, changed
 
 
-def _joint_shortlist(world: WorldSpec, e: np.ndarray, est: list[int], k: int) -> list[int]:
+def _joint_shortlist(world: WorldSpec, e: np.ndarray, est: list[int], k: int,
+                     scores: list[np.ndarray], orders: list[np.ndarray]) -> list[int]:
     # exact maximization over the top-scoring candidates of every slot
-    scores = [world.rotated_embeddings[i] @ e for i in range(k)]
     cands = []
     for i in range(k):
-        short = np.argsort(-scores[i], kind="stable")[:_JOINT_SHORTLIST]
+        short = orders[i][:_JOINT_SHORTLIST]
         if est[i] not in short:
             short = np.concatenate([short[:-1], [est[i]]])
         cands.append(short)
@@ -281,18 +313,21 @@ def decode_parts(e: np.ndarray, k: int, world: WorldSpec) -> list[SemanticAtom]:
     e = np.asarray(e, dtype=np.float64)
     if e.shape != (world.d,):
         raise DimensionMismatch(f"expected a vector of dim {world.d}, got shape {e.shape}")
-    est = [int(np.argmax(world.rotated_embeddings[i] @ e)) for i in range(k)]
-    est = _single_sweeps(world, e, est, k)
+    # each slot's atom scores R_i E . e, which every rung reads, once per decode
+    scores = [world.rotated_embeddings[i] @ e for i in range(k)]
+    est = _single_sweeps(world, e, [int(np.argmax(s)) for s in scores], k, scores)
+    if _composite_cosine(world, e, est) >= _EXACT_OBJECTIVE:
+        return [world.atoms[a] for a in est]
+    # and, for the pair sweeps and the joint pass, their stable descending order
+    orders = [np.argsort(-s, kind="stable") for s in scores]
     for _ in range(_MAX_PAIR_ROUNDS):
-        if _composite_cosine(world, e, est) >= _EXACT_OBJECTIVE:
-            break
-        est, changed = _pair_sweep(world, e, est, k)
-        est = _single_sweeps(world, e, est, k)
-        if not changed:
+        est, changed = _pair_sweep(world, e, est, k, scores, orders)
+        est = _single_sweeps(world, e, est, k, scores)
+        if not changed or _composite_cosine(world, e, est) >= _EXACT_OBJECTIVE:
             break
     if _composite_cosine(world, e, est) < _EXACT_OBJECTIVE:
-        est = _joint_shortlist(world, e, est, k)
-        est = _single_sweeps(world, e, est, k)
+        est = _joint_shortlist(world, e, est, k, scores, orders)
+        est = _single_sweeps(world, e, est, k, scores)
     return [world.atoms[a] for a in est]
 
 

@@ -13,6 +13,7 @@ import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -50,25 +51,32 @@ def world(taxonomy) -> WorldSpec:
     return WorldSpec(taxonomy, world_seed=DEFAULT_WORLD_SEED, d=DEFAULT_DIM)
 
 
-@pytest.fixture(params=["kernel", "numpy"])
-def adam_update(request, monkeypatch) -> str:
-    """The Adam update a test runs on: "kernel", the compiled loop, or
-    "numpy", the update a process falls back to when cc cannot build it
-    (here every subprocess.run fails as a missing cc would)."""
-    if request.param == "numpy":
+def library_on(path: str, monkeypatch: pytest.MonkeyPatch) -> Iterator[str]:
+    """Runs the caller's code on ``path``: "kernel", the library _kernels.c
+    compiled by cc (skipped without cc), or "numpy", what a process falls
+    back to when cc cannot build it (here every subprocess.run fails as a
+    missing cc would)."""
+    if path == "numpy":
         def no_compiler(*args, **kwargs):
             raise FileNotFoundError("cc")
 
-        nn._adam_kernel.cache_clear()
+        nn._kernels.cache_clear()
         monkeypatch.setattr(subprocess, "run", no_compiler)
-        assert nn._adam_kernel() is None
-        yield request.param
-        nn._adam_kernel.cache_clear()  # the next test builds the kernel again
+        assert nn._kernels() is None
+        yield path
+        nn._kernels.cache_clear()  # the next test builds the library again
     else:
         if shutil.which("cc") is None:
             pytest.skip("no C compiler on PATH as cc")
-        assert nn._adam_kernel() is not None
-        yield request.param
+        assert nn._kernels() is not None
+        yield path
+
+
+@pytest.fixture(params=["kernel", "numpy"])
+def kernel_path(request, monkeypatch) -> Iterator[str]:
+    """The path a test runs the compiled library's callers (the Adam update,
+    the pair sweep's grid) on: "kernel" or "numpy"; see library_on."""
+    yield from library_on(request.param, monkeypatch)
 
 
 @dataclass

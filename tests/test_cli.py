@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from partgen.errors import PartgenError
 from partgen.cli import (
     PIPELINE_DEFAULTS,
     UsageError,
@@ -169,6 +170,7 @@ class TestExitCodes:
         proc = _main_under_1_gib(argv)
         err = proc.stderr.strip().splitlines()
         assert proc.returncode == 1 and len(err) == 1 and err[0].startswith(first_words), proc.stderr
+        assert not (tmp_path / "run").exists()  # a failed pipeline run takes back its directory
 
     @pytest.mark.parametrize("dims", [[], [input_dim(DEFAULT_DIM)]], ids=["n-dims-0", "n-dims-1"])
     def test_checkpoint_with_fewer_than_two_dims_is_one_line(self, tmp_path, capsys, dims):
@@ -333,6 +335,66 @@ class TestPipelineRun:
                                      "parteval_2part", "parteval_3part", "parteval_4part", "report", "samples"]
         assert sorted(p.name for p in run.iterdir()) == sorted([entry["path"] for entry in artifacts.values()] + ["manifest.json"])
         assert not (run / "dataset.bin").exists()
+
+
+def _partial_write_then(exc):
+    """A stand-in for a writer that leaves part of its file, then raises exc."""
+    def write(*args):
+        next(Path(a) for a in args if isinstance(a, (str, Path))).write_text("partial", encoding="utf-8")
+        raise exc
+
+    return write
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+class TestFailedStagesLeaveNothing:
+    """A stage that fails takes back every file the run wrote, and the run
+    directory it made; the exit code and the one-line message are those of
+    any failed stage."""
+
+    @pytest.mark.parametrize(
+        "stage, target, stand_in",
+        [
+            ("setup", "_world", _raise(MemoryError("Unable to allocate"))),
+            ("corpus", "write_corpus", _partial_write_then(OSError("No space left on device"))),
+            ("dataset", "make_dataset", _raise(PartgenError("bad record"))),
+            ("train", "train", _raise(MemoryError("Unable to allocate"))),
+            ("eval", "parteval_grade_many", _raise(PartgenError("grader failed"))),
+            ("manifest", "write_manifest", _partial_write_then(OSError("No space left on device"))),
+        ],
+        ids=["setup", "corpus", "dataset", "train", "eval", "manifest"],
+    )
+    def test_pipeline_run(self, tmp_path, capsys, monkeypatch, stage, target, stand_in):
+        monkeypatch.setattr(f"partgen.cli.{target}", stand_in)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["pipeline", "run", "--out", str(tmp_path / "runs" / "run"), *TINY_RUN]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"pipeline stage {stage!r} failed: "), err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_pipeline_run_into_an_existing_directory_keeps_it(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("partgen.cli.write_report", _partial_write_then(OSError("No space left on device")))
+        (tmp_path / "notes.txt").write_text("kept\n", encoding="utf-8")
+        before = _tree(tmp_path)
+        assert main(["pipeline", "run", "--out", str(tmp_path), *TINY_RUN]) == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert _tree(tmp_path) == before
+
+    def test_eval(self, tmp_path, capsys, monkeypatch):
+        ckpt = _tiny_checkpoint(tmp_path)
+        monkeypatch.setattr("partgen.cli.write_report", _partial_write_then(OSError("No space left on device")))
+        before = sorted(tmp_path.rglob("*"))
+        argv = ["eval", "--ckpt", str(ckpt), "--n-eval", "4", "--sample-steps", "3", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: No space left on device"]
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.fixture(scope="module")

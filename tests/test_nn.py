@@ -124,11 +124,11 @@ def _assert_same_bits(got: list[np.ndarray], want: list[np.ndarray]) -> None:
 
 
 @pytest.fixture
-def kernel_calls(adam_update, monkeypatch) -> list[int]:
+def kernel_calls(kernel_path, monkeypatch) -> list[int]:
     """What each adam_step_all call of the test returned: one entry per
     step the compiled kernel took, none on the numpy path."""
     calls: list[int] = []
-    kernel = nn._adam_kernel()
+    kernel = nn._kernels()
     if kernel is not None:
         call = kernel.adam_step_all
 
@@ -333,15 +333,15 @@ class TestAdamKernel:
         assert kernel_calls == []
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_matches_reference_bitwise_over_extreme_gradients_in_one_call(self, small_net, adam_update, kernel_calls):
+    def test_matches_reference_bitwise_over_extreme_gradients_in_one_call(self, small_net, kernel_path, kernel_calls):
         # every parameter and moment can go through the kernel, so on its
         # path each step is one adam_step_all call
         net, ref_net = small_net, copy.deepcopy(small_net)
         state, ref_state = AdamState.init(net), AdamState.init(ref_net)
         _extreme_run(net, state, ref_net, ref_state)
-        assert kernel_calls == ([1] * 200 if adam_update == "kernel" else [])
+        assert kernel_calls == ([1] * 200 if kernel_path == "kernel" else [])
 
-    def test_replaced_arrays_take_the_next_update(self, small_net, adam_update, kernel_calls, tmp_path):
+    def test_replaced_arrays_take_the_next_update(self, small_net, kernel_path, kernel_calls, tmp_path):
         # the kernel keeps the addresses of the parameters and moments from
         # step to step: an array replaced between steps must take the next
         # update, and the array it replaced must keep its bits
@@ -371,9 +371,9 @@ class TestAdamKernel:
             kept = [a.copy() for a in old]
             step_both()
             _assert_same_bits(old, kept)
-        assert kernel_calls == ([1] * 4 if adam_update == "kernel" else [])
+        assert kernel_calls == ([1] * 4 if kernel_path == "kernel" else [])
 
-    def test_a_deep_copy_updates_its_own_arrays(self, small_net, adam_update, kernel_calls):
+    def test_a_deep_copy_updates_its_own_arrays(self, small_net, kernel_path, kernel_calls):
         # a copied state must not carry over the original's addresses
         state = AdamState.init(small_net)
         _, grads = _quadratic_loss(small_net, np.ones((2, 6)), np.ones((2, 4)), dtype=np.float32)
@@ -385,7 +385,7 @@ class TestAdamKernel:
         _reference_adam_step(ref_net, grads, ref_state, state.lr)
         _assert_same_bits(_adam_arrays(small_net, state), kept)
         _assert_same_bits(_adam_arrays(net2, state2), _adam_arrays(ref_net, ref_state))
-        assert kernel_calls == ([1] * 2 if adam_update == "kernel" else [])
+        assert kernel_calls == ([1] * 2 if kernel_path == "kernel" else [])
 
     @pytest.mark.parametrize(
         "dtype, bad",
@@ -393,7 +393,7 @@ class TestAdamKernel:
         ids=["nan", "inf", "-inf", "float64 nan", "float64 beyond float32"],
     )
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
-    def test_nonfinite_gradient_at_any_tensor_changes_nothing(self, small_net, adam_update, kernel_calls, dtype, bad):
+    def test_nonfinite_gradient_at_any_tensor_changes_nothing(self, small_net, kernel_path, kernel_calls, dtype, bad):
         rng = np.random.default_rng(13)
         x, y = rng.standard_normal((8, 6)), rng.standard_normal((8, 4))
         state = AdamState.init(small_net)
@@ -414,29 +414,30 @@ class TestAdamKernel:
                     assert np.array_equal(_bits(a), _bits(b))
         # on the kernel's path, the check ran in adam_step_all and refused
         # each bad step there
-        assert kernel_calls == ([1] + [0] * 2 * small_net.n_layers if adam_update == "kernel" else [])
+        assert kernel_calls == ([1] + [0] * 2 * small_net.n_layers if kernel_path == "kernel" else [])
 
     def test_a_failed_compile_falls_back_to_numpy(self, small_net, tmp_path, monkeypatch):
-        bad = tmp_path / "_adam.c"
+        bad = tmp_path / "_kernels.c"
         bad.write_text("not C\n", encoding="utf-8")
-        monkeypatch.setattr(nn, "_ADAM_SOURCE", bad)
-        nn._adam_kernel.cache_clear()
+        monkeypatch.setattr(nn, "_KERNELS_SOURCE", bad)
+        nn._kernels.cache_clear()
         try:
-            assert nn._adam_kernel() is None
+            assert nn._kernels() is None
             zero = Gradients(weights=[np.zeros_like(w) for w in small_net.weights], biases=[np.zeros_like(b) for b in small_net.biases])
             adam_step(small_net, zero, AdamState.init(small_net))
         finally:
-            nn._adam_kernel.cache_clear()
+            nn._kernels.cache_clear()
 
     def test_import_builds_no_kernel_and_loads_no_subprocess(self):
-        # the kernel is built at a process's first Adam step, never on import:
-        # `import partgen.cli` (the CLI's start-up, which the benchmark's
-        # setup_s times) loads 238 modules under Python 3.11 and numpy 2.4.6
+        # the library is built at a process's first Adam step or pair sweep,
+        # never on import: `import partgen.cli` (the CLI's start-up, which
+        # the benchmark's setup_s times) loads 238 modules under Python 3.11
+        # and numpy 2.4.6
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         child = (
             "import sys, partgen.cli, partgen.nn\n"
-            "print(len(sys.modules), 'subprocess' in sys.modules, partgen.nn._adam_kernel.cache_info().currsize)"
+            "print(len(sys.modules), 'subprocess' in sys.modules, partgen.nn._kernels.cache_info().currsize)"
         )
         result = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr

@@ -325,11 +325,11 @@ class TestTrainLoop:
     # its SkylakeX kernel); another BLAS kernel may round float32 matmuls
     # differently. Both Adam updates must give it.
     @pytest.mark.parametrize(
-        "objective, adam_update",
+        "objective, kernel_path",
         [pytest.param(o, path, id=o if path == "kernel" else f"{o}-numpy") for path in ("kernel", "numpy") for o in OBJECTIVES],
-        indirect=["adam_update"],
+        indirect=["kernel_path"],
     )
-    def test_training_digest_pinned(self, small_batch, objective, adam_update):
+    def test_training_digest_pinned(self, small_batch, objective, kernel_path):
         digest = {
             "rectified_flow": "011bb1674f206ff1497b5a6f96cc3635b18c77d3cca44d887a3c96c40539323b",
             "diffusion_prior": "80e18ffb9877d10007df1e10a550adbdb51b24dd4e6f144c162f599cd808f97b",

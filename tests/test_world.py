@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partgen import nn
 from partgen.errors import DimensionMismatch, UnknownAtom, ValidationError
+from partgen.prior import TrainConfig, sample_flow_batch, train
 from partgen.taxonomy import SemanticAtom, generate_corpus, load_default_taxonomy, parse_taxonomy
 from partgen.world import (
     DEFAULT_DIM,
@@ -20,7 +22,18 @@ from partgen.world import (
     decode_parts,
     make_dataset,
 )
-from partgen.world import _PAIR_TOP, _pair_sweep
+from partgen.world import (  # the decode ladder's rungs, for the pair sweep's and the ladder's oracles
+    _EXACT_OBJECTIVE,
+    _MAX_PAIR_ROUNDS,
+    _PAIR_TOP,
+    _composite_cosine,
+    _joint_shortlist,
+    _pair_grid,
+    _pair_sweep,
+    _single_sweeps,
+)
+
+from conftest import library_on
 
 
 def _sets(taxonomy, world, n, seed, k_values=(2, 3, 4)):
@@ -73,8 +86,15 @@ def _reference_pair_sweep(world, e, est, k):
     return est, changed
 
 
+def _sweep(world, e, est, k):
+    """_pair_sweep from est, given each slot's scores and their stable
+    descending order, as decode_parts hands them to it."""
+    scores = [world.rotated_embeddings[i] @ e for i in range(k)]
+    return _pair_sweep(world, e, list(est), k, scores, [np.argsort(-s, kind="stable") for s in scores])
+
+
 def _assert_sweeps_agree(world, e, est, k):
-    assert _pair_sweep(world, e, list(est), k) == _reference_pair_sweep(world, e, list(est), k)
+    assert _sweep(world, e, est, k) == _reference_pair_sweep(world, e, list(est), k)
 
 
 class TestGeometry:
@@ -201,8 +221,26 @@ class TestDecoding:
             decode_parts(np.zeros(world.d + 1), 2, world)
 
 
+def _drawn_cases(test):
+    """test over drawn cases: a record of drawn_sets, a noise level and seed,
+    and a start estimate."""
+    return settings(max_examples=40, deadline=None)(given(
+        record=st.integers(0, 59),
+        noise=st.floats(0.0, 2.0),
+        noise_seed=st.integers(0, 2**32 - 1),
+        est=st.lists(st.integers(0, 463), min_size=4, max_size=4),  # the default taxonomy's 464 atoms
+    )(test))
+
+
 class TestPairSweep:
-    """The pruned pair sweep returns the full grid's argmax, first index on ties."""
+    """The pruned pair sweep returns the full grid's argmax, first index on
+    ties, with the compiled grid; TestPairSweepOnNumpy runs every case on
+    numpy's cells."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def grid_path(self):
+        with pytest.MonkeyPatch.context() as mp:
+            yield from library_on("kernel", mp)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_matches_full_grid_on_noisy_composites(self, taxonomy, world, k):
@@ -219,13 +257,7 @@ class TestPairSweep:
     def drawn_sets(self, taxonomy, world):
         return _sets(taxonomy, world, 60, seed=30)[0]
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        record=st.integers(0, 59),
-        noise=st.floats(0.0, 2.0),
-        noise_seed=st.integers(0, 2**32 - 1),
-        est=st.lists(st.integers(0, 463), min_size=4, max_size=4),  # the default taxonomy's 464 atoms
-    )
+    @_drawn_cases
     def test_matches_full_grid_on_drawn_inputs(self, world, drawn_sets, record, noise, noise_seed, est):
         cond = drawn_sets[record]
         rng = np.random.default_rng(noise_seed)
@@ -234,7 +266,7 @@ class TestPairSweep:
 
     def test_zero_vector_takes_the_first_cell(self, world):
         # every cell is 0, so no bound applies and the first index wins
-        assert _pair_sweep(world, np.zeros(world.d), [5, 6, 7], 3) == ([0, 0, 0], True)
+        assert _sweep(world, np.zeros(world.d), [5, 6, 7], 3) == ([0, 0, 0], True)
         _assert_sweeps_agree(world, np.zeros(world.d), [5, 6, 7], 3)
 
     def test_negated_target_scores_no_positive_cell(self, taxonomy, world):
@@ -257,7 +289,7 @@ class TestPairSweep:
             e /= np.linalg.norm(e)
             _assert_sweeps_agree(fresh, e, [a, b], 2)
         e = (rot_i[100] + rot_j[200]) / np.linalg.norm(rot_i[100] + rot_j[200])
-        assert _pair_sweep(fresh, e, [300, 400], 2) == ([100, 200], True)
+        assert _sweep(fresh, e, [300, 400], 2) == ([100, 200], True)
 
     def test_row_without_a_positive_denominator_bound(self, taxonomy):
         # slot-1 atom 7 is slot-0 atom a reversed and doubled, so cell (a, 7)
@@ -271,7 +303,7 @@ class TestPairSweep:
         with np.errstate(invalid="ignore"):
             grid = _full_grid(fresh, e, [0, 0], 2, 0, 1)
             assert np.isnan(grid[a, 7]) and np.nanmax(grid[a]) < np.nanmax(grid)
-            assert _pair_sweep(fresh, e, [0, 0], 2) == ([a, 7], True)
+            assert _sweep(fresh, e, [0, 0], 2) == ([a, 7], True)
             _assert_sweeps_agree(fresh, e, [0, 0], 2)
 
     def test_maximum_off_the_top_columns(self, taxonomy):
@@ -296,7 +328,7 @@ class TestPairSweep:
         assert np.unravel_index(np.argmax(grid), grid.shape) == (10, 20)
         assert 20 not in top and grid[10, top].max() < grid[:, top].max() - 0.1
         _assert_sweeps_agree(fresh, e, est, 3)
-        assert _pair_sweep(fresh, e, list(est), 3)[0] == [10, 20, 30]
+        assert _sweep(fresh, e, est, 3)[0] == [10, 20, 30]
 
     def test_small_taxonomy(self):
         # fewer atoms than _PAIR_TOP: every column is a top column
@@ -306,6 +338,155 @@ class TestPairSweep:
         rng = np.random.default_rng(1)
         for _ in range(10):
             _assert_sweeps_agree(fresh, rng.standard_normal(fresh.d), [int(a) for a in rng.integers(0, len(fresh.atoms), 3)], 3)
+
+
+class TestPairSweepOnNumpy(TestPairSweep):
+    """Every TestPairSweep case on numpy's cells, the path without cc."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def grid_path(self):
+        with pytest.MonkeyPatch.context() as mp:
+            yield from library_on("numpy", mp)
+
+    # hypothesis runs a @given method from one instance only, so this class
+    # draws its own cases for the same test body
+    test_matches_full_grid_on_drawn_inputs = _drawn_cases(TestPairSweep.test_matches_full_grid_on_drawn_inputs.hypothesis.inner_test)
+
+
+@pytest.fixture
+def grid_calls(kernel_path, monkeypatch) -> list[int]:
+    """What each pair_grid call of the test returned: one entry per grid the
+    compiled library scored, none on the numpy path."""
+    calls: list[int] = []
+    lib = nn._kernels()
+    if lib is not None:
+        call = lib.pair_grid
+
+        def recorded(*args):
+            calls.append(call(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(lib, "pair_grid", recorded)
+    return calls
+
+
+def _grid_inputs(kind: str, n: int, seed: int):
+    """row_num, row_den2, scores_j, cross_j and gram of an n x n pair grid
+    whose cells are drawn at random, tie in many places, are all 0.0, or hold
+    NaN rows and NaN cells."""
+    rng = np.random.default_rng(seed)
+    row_num, scores_j = rng.standard_normal(n), rng.standard_normal(n)
+    row_den2, cross_j, gram = 8.0 + rng.random(n), rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, (n, n))
+    if kind == "tied":
+        # cells (x + y) / 2 with x, y in {0, 1, 2}: the maximum 2 repeats in rows and columns
+        row_num, scores_j = rng.integers(0, 3, n).astype(float), rng.integers(0, 3, n).astype(float)
+        row_den2, cross_j, gram = np.full(n, 4.0), np.zeros(n), np.zeros((n, n))
+    elif kind == "zero":
+        row_num, scores_j = np.zeros(n), np.zeros(n)
+    elif kind == "nan":
+        row_num[rng.choice(n, 5, replace=False)] = np.nan
+        gram[rng.random((n, n)) < 0.01] = -100.0  # sqrt of a negative squared norm
+        gram[7, 270:] = -100.0  # a NaN row whose first NaN lies past the first 256 columns
+    return row_num, row_den2, scores_j, cross_j, gram
+
+
+class TestPairGrid:
+    """_pair_grid's row maxima are numpy's max(axis=1) of the same cells byte
+    for byte, and its argmax is np.argmax's, on both paths. A row whose
+    maximum ties 0.0 with -0.0 is left out, and a NaN maximum is compared as
+    a NaN: numpy's bits there depend on its SIMD lanes, and the sweep only
+    compares maxima."""
+
+    @pytest.mark.parametrize("kind", ["random", "tied", "zero", "nan"])
+    def test_matches_numpy_max_and_argmax(self, kernel_path, grid_calls, kind):
+        n = 300  # more columns than the compiled loop scores at a time
+        rng = np.random.default_rng(1)
+        blocks = [
+            (None, None),
+            (None, rng.permutation(n)[:_PAIR_TOP]),  # the top-column block
+            (np.sort(rng.choice(n, 70, replace=False)), None),  # kept rows
+            (None, np.array([299])),  # one cell per row: every cell is a row maximum
+        ]
+        for seed in range(3):
+            inputs = _grid_inputs(kind, n, seed)
+            row_num, row_den2, scores_j, cross_j, gram = inputs
+            for rows, cols in blocks:
+                a = np.arange(n) if rows is None else rows
+                b = np.arange(n) if cols is None else cols
+                with np.errstate(invalid="ignore"):
+                    cells = (row_num[a, None] + scores_j[b]) / np.sqrt(row_den2[a, None] + 2.0 * cross_j[b] + 2.0 * gram[np.ix_(a, b)])
+                    row_max, r, c = _pair_grid(*inputs, rows=rows, cols=cols)
+                    want = cells.max(axis=1)
+                # numpy returns a NaN maximum as the input's NaN or as its own
+                # quiet NaN, by row length, so only the numbers are compared
+                # byte for byte
+                assert np.array_equal(np.isnan(row_max), np.isnan(want))
+                assert row_max[~np.isnan(want)].tobytes() == want[~np.isnan(want)].tobytes()
+                assert (r, c) == np.unravel_index(np.argmax(cells), cells.shape)
+        assert len(grid_calls) == (3 * len(blocks) if kernel_path == "kernel" else 0)
+
+    def test_arrays_the_library_cannot_take_go_through_numpy(self, kernel_path, grid_calls):
+        row_num, row_den2, scores_j, cross_j, gram = _grid_inputs("random", 40, 0)
+        rows = np.arange(0, 40, 3)
+        want = _pair_grid(row_num, row_den2, scores_j, cross_j, gram, rows=rows)
+        calls = len(grid_calls)
+        for args in (
+            (row_num, row_den2, scores_j, cross_j, np.asfortranarray(gram), rows),
+            (row_num, row_den2, scores_j[::-1].copy()[::-1], cross_j, gram, rows),  # a reversed view
+            (row_num, row_den2, scores_j, cross_j, gram, rows.astype(np.int32)),
+        ):
+            got = _pair_grid(*args[:5], rows=args[5])
+            assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+        assert len(grid_calls) == calls
+
+
+def _reference_decode(world, e, k):
+    """decode_parts' ladder as it stood before the compiled grid: each rung
+    takes slot scores computed afresh, and each pair sweep is the unpruned
+    numpy grid of _reference_pair_sweep."""
+
+    def fresh():
+        scores = [world.rotated_embeddings[i] @ e for i in range(k)]
+        return scores, [np.argsort(-s, kind="stable") for s in scores]
+
+    est = _single_sweeps(world, e, [int(np.argmax(world.rotated_embeddings[i] @ e)) for i in range(k)], k, fresh()[0])
+    for _ in range(_MAX_PAIR_ROUNDS):
+        if _composite_cosine(world, e, est) >= _EXACT_OBJECTIVE:
+            break
+        est, changed = _reference_pair_sweep(world, e, est, k)
+        est = _single_sweeps(world, e, est, k, fresh()[0])
+        if not changed:
+            break
+    if _composite_cosine(world, e, est) < _EXACT_OBJECTIVE:
+        est = _joint_shortlist(world, e, est, k, *fresh())
+        est = _single_sweeps(world, e, est, k, fresh()[0])
+    return [world.atoms[a] for a in est]
+
+
+@pytest.fixture(scope="module")
+def decode_cases(taxonomy, world):
+    """(vector, k, the reference decode) for the 20 eval samples of a run at
+    n_train=2000 steps=100 n_eval=20 (still near noise, so each climbs the
+    whole ladder), for seeded noisy composites at four noise levels, and for
+    exact composites."""
+    records = list(generate_corpus(taxonomy, 2000, master_seed=0))
+    net = train(TrainConfig(steps=100, seed=42), make_dataset(records, taxonomy, world)).net
+    held_out = [condition_set(r.atoms, world) for r in generate_corpus(taxonomy, 20, master_seed=1000003)]
+    vectors = list(zip(sample_flow_batch(net, held_out, world.d, n_steps=50, seed=7), [c.k for c in held_out]))
+    sets, rng = _sets(taxonomy, world, 120, seed=50)
+    targets = compose_targets(sets, world)
+    for level, chunk in zip((1 / 16, 1 / 8, 1 / 4, 3 / 8), np.array_split(np.arange(80), 4)):
+        vectors += [(targets[i] + level * rng.standard_normal(world.d), sets[i].k) for i in chunk]
+    vectors += [(targets[i], sets[i].k) for i in range(80, 120)]
+    return [(e, k, _reference_decode(world, e, k)) for e, k in vectors]
+
+
+class TestDecodeDifferential:
+    def test_same_atoms_as_the_reference_ladder(self, world, decode_cases, kernel_path, grid_calls):
+        for e, k, want in decode_cases:
+            assert decode_parts(e, k, world) == want
+        # the samples and the noisy composites reach the pair sweep
+        assert bool(grid_calls) == (kernel_path == "kernel")
 
 
 class TestDataset:
