@@ -3,8 +3,9 @@
  * - adam_step_all: the float32 Adam update of partgen.nn.adam_step over
  *   every tensor of a network in one call, after the check for non-finite
  *   gradients that precedes it;
- * - pair_grid: the float64 cells of partgen.world._pair_sweep's grid at
- *   given rows and columns, with each row's maximum and the first argmax.
+ * - pair_cells: the float64 cells of partgen.world._pair_sweep's grid at
+ *   given rows and columns; numpy takes each row's maximum and the first
+ *   maximal cell from them, whichever path scored the cells.
  *
  * Each value goes through numpy's operations in numpy's order, each rounded
  * to the array's type, so the two give the same bits. That holds only when
@@ -18,7 +19,7 @@
  * instruction set (AVX-512F, AVX2 and the x86-64 baseline) and the loader
  * picks the widest one the CPU runs. Add, subtract, multiply, divide and
  * sqrt round the same in every one of them, so the choice moves no bit.
- * Elsewhere, and for the pair grid, the loops are built once, for the
+ * Elsewhere, and for the pair cells, the loops are built once, for the
  * target's baseline.
  */
 
@@ -76,74 +77,29 @@ int adam_step_all(size_t k, float *const *ptrs, const size_t *sizes, const float
     return 1;
 }
 
-/* Cells of the pair grid are scored this many columns at a time. */
-#define GRID_CHUNK 256
-
-/* Moves *best and *arg, the maximum so far and its index, over the m
- * values x from index offset on: a larger value or, first of all, a NaN
- * takes them (numpy's max and argmax rules). Returns 1 once a NaN has. */
-static int scan_max(const double *x, size_t m, size_t offset, double *best, size_t *arg)
-{
-    for (size_t c = 0; c < m; c++) {
-        if (x[c] > *best || isnan(x[c])) {
-            *best = x[c];
-            *arg = offset + c;
-            if (isnan(x[c]))
-                return 1;
-        }
-    }
-    return 0;
-}
-
-/* Cells cols[c0], ..., cols[c0 + m - 1] (columns c0 to c0 + m - 1 when
- * cols is NULL) of one grid row: (rn + s[b]) / sqrt((rd + 2 x[b]) + 2 g[b]).
+/* The pair sweep's grid at rows x cols into cells (n_rows x n_cols, row
+ * major): cell (a, b) is (row_num[a] + s[b]) / sqrt((row_den2[a] +
+ * 2 cross[b]) + 2 gram[a ld + b]), for a = rows[r] (r when rows is NULL)
+ * and b = cols[c] (c when cols is NULL). The caller takes the maxima.
  * Built for the baseline only: the divide and sqrt unit bounds this loop,
  * and it takes no fewer cycles per cell at a wider vector width, while
  * AVX-512 gathers were slower for the top-column block. */
-static void grid_cells(double *restrict cell, size_t m, size_t c0, const int64_t *cols,
-                                  double rn, double rd, const double *restrict s,
-                                  const double *restrict x, const double *restrict g)
+void pair_cells(size_t n_rows, const int64_t *rows, size_t n_cols, const int64_t *cols,
+                const double *row_num, const double *row_den2, const double *restrict s,
+                const double *restrict cross, const double *gram, size_t ld, double *restrict cells)
 {
-    if (cols == NULL) {
-        s += c0, x += c0, g += c0;
-        for (size_t c = 0; c < m; c++)
-            cell[c] = (rn + s[c]) / sqrt((rd + 2.0 * x[c]) + 2.0 * g[c]);
-    } else {
-        cols += c0;
-        for (size_t c = 0; c < m; c++) {
-            int64_t b = cols[c];
-            cell[c] = (rn + s[b]) / sqrt((rd + 2.0 * x[b]) + 2.0 * g[b]);
+    for (size_t r = 0; r < n_rows; r++, cells += n_cols) {
+        size_t a = rows == NULL ? r : (size_t)rows[r];
+        double rn = row_num[a], rd = row_den2[a];
+        const double *restrict g = gram + a * ld;
+        if (cols == NULL) {
+            for (size_t c = 0; c < n_cols; c++)
+                cells[c] = (rn + s[c]) / sqrt((rd + 2.0 * cross[c]) + 2.0 * g[c]);
+        } else {
+            for (size_t c = 0; c < n_cols; c++) {
+                int64_t b = cols[c];
+                cells[c] = (rn + s[b]) / sqrt((rd + 2.0 * cross[b]) + 2.0 * g[b]);
+            }
         }
     }
-}
-
-/* The pair sweep's grid at rows x cols, cell (a, b) being
- * (row_num[a] + s[b]) / sqrt((row_den2[a] + 2 cross[b]) + 2 gram[a ld + b]),
- * for a = rows[r] (r when rows is NULL) and b = cols[c] (c when cols is
- * NULL). Writes each row's maximum to row_max and returns the flat index
- * r n_cols + c of the first maximal cell; a NaN is the maximum of any row
- * that holds one, and the first NaN the argmax. n_rows and n_cols are > 0. */
-int64_t pair_grid(size_t n_rows, const int64_t *rows, size_t n_cols, const int64_t *cols,
-                  const double *row_num, const double *row_den2, const double *s,
-                  const double *cross, const double *gram, size_t ld, double *row_max)
-{
-    double cell[GRID_CHUNK], best = -INFINITY;
-    int64_t flat = 0;
-    for (size_t r = 0; r < n_rows; r++) {
-        int64_t a = rows == NULL ? (int64_t)r : rows[r];
-        double top = -INFINITY;
-        size_t arg = 0;
-        for (size_t c0 = 0; c0 < n_cols; c0 += GRID_CHUNK) {
-            size_t m = n_cols - c0 < GRID_CHUNK ? n_cols - c0 : GRID_CHUNK;
-            grid_cells(cell, m, c0, cols, row_num[a], row_den2[a], s, cross, gram + (size_t)a * ld);
-            if (scan_max(cell, m, c0, &top, &arg))
-                break;
-        }
-        row_max[r] = top;
-        if (top > best || (isnan(top) && !isnan(best))) {
-            best = top;
-            flat = (int64_t)(r * n_cols + arg);
-        }
-    }
-    return flat;
 }

@@ -452,6 +452,8 @@ def cmd_pipeline_run(args) -> int:
 def cmd_pipeline_rerun(args) -> int:
     """Run the recorded config again, then check the replay's artifacts
     against the recorded digests, as `pipeline verify` does."""
+    if Path(args.out).resolve() == Path(args.manifest).resolve().parent:
+        raise UsageError(f"--out is the directory of --manifest, whose recorded run the replay would overwrite: {args.out}")
     recorded, out_dir = load_manifest(args.manifest), Path(args.out)
     if _run_pipeline(check_config(recorded["config"]), out_dir):
         return 1

@@ -195,8 +195,8 @@ def _kernels() -> ctypes.CDLL | None:
             return None
     lib.adam_step_all.argtypes = [ctypes.c_size_t, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
     lib.adam_step_all.restype = ctypes.c_int
-    lib.pair_grid.argtypes = [ctypes.c_size_t, ctypes.c_void_p, ctypes.c_size_t] + [ctypes.c_void_p] * 6 + [ctypes.c_size_t, ctypes.c_void_p]
-    lib.pair_grid.restype = ctypes.c_int64
+    lib.pair_cells.argtypes = [ctypes.c_size_t, ctypes.c_void_p, ctypes.c_size_t] + [ctypes.c_void_p] * 6 + [ctypes.c_size_t, ctypes.c_void_p]
+    lib.pair_cells.restype = None
     return lib
 
 

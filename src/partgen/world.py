@@ -21,10 +21,11 @@ at the top _PAIR_TOP columns of slot j, and bounded off them by
 at their column minima. The bound repeats the cells' float operations in
 their order, so monotone rounding keeps it exact: the sweep returns the full
 grid's argmax, the first index on ties. The top-column block and the kept
-rows are scored by pair_grid in the compiled library (_kernels.c, shared
+rows are scored by pair_cells in the compiled library (_kernels.c, shared
 with the Adam update) or, without it, by numpy, with the same operations in
-the same order and so the same bits. Each slot's scores, and their order,
-are computed once per decode and handed to every rung of the ladder.
+the same order and so the same bits; numpy takes each row's maximum and the
+first maximal cell on both paths. Each slot's scores, and their order, are
+computed once per decode and handed to every rung of the ladder.
 """
 
 from __future__ import annotations
@@ -195,26 +196,23 @@ def _pair_grid(row_num: np.ndarray, row_den2: np.ndarray, scores_j: np.ndarray, 
     each row's maximum, and the row and column of the first maximal cell. A
     NaN cell is its row's maximum, and the first one the argmax, as in numpy.
 
-    The compiled pair_grid scores the cells when it is built and the arrays
+    The compiled pair_cells scores the cells when it is built and the arrays
     are C-contiguous float64 (int64 indices); numpy does otherwise. Both do
     the same float64 operations in the same order, so they give the same
-    cells and argmax; of the row maxima, only the sign of a zero that ties
-    0.0 with -0.0 and the payload of a NaN may differ, which the sweep's
-    comparisons do not see.
+    cells; numpy's max and argmax read the maxima off them on both paths.
     """
     lib = _kernels()
     floats, indices = (row_num, row_den2, scores_j, cross_j, gram), (rows, cols)
     if lib is not None and all(x.dtype == np.float64 and x.flags.c_contiguous for x in floats) and all(
             x is None or (x.dtype == np.int64 and x.flags.c_contiguous) for x in indices):
-        n_cols = len(scores_j) if cols is None else len(cols)
-        row_max = np.empty(len(row_num) if rows is None else len(rows))
-        flat = lib.pair_grid(len(row_max), None if rows is None else rows.ctypes.data, n_cols, None if cols is None else cols.ctypes.data,
-                             row_num.ctypes.data, row_den2.ctypes.data, scores_j.ctypes.data, cross_j.ctypes.data, gram.ctypes.data,
-                             gram.shape[1], row_max.ctypes.data)
-        return row_max, *divmod(int(flat), n_cols)
-    rows = slice(None) if rows is None else rows
-    cols = slice(None) if cols is None else cols
-    cells = (row_num[rows, None] + scores_j[cols]) / np.sqrt(row_den2[rows, None] + 2.0 * cross_j[cols] + 2.0 * gram[rows, cols])
+        cells = np.empty((len(row_num) if rows is None else len(rows), len(scores_j) if cols is None else len(cols)))
+        lib.pair_cells(cells.shape[0], None if rows is None else rows.ctypes.data, cells.shape[1], None if cols is None else cols.ctypes.data,
+                       row_num.ctypes.data, row_den2.ctypes.data, scores_j.ctypes.data, cross_j.ctypes.data, gram.ctypes.data,
+                       gram.shape[1], cells.ctypes.data)
+    else:
+        rows = slice(None) if rows is None else rows
+        cols = slice(None) if cols is None else cols
+        cells = (row_num[rows, None] + scores_j[cols]) / np.sqrt(row_den2[rows, None] + 2.0 * cross_j[cols] + 2.0 * gram[rows, cols])
     row_max = cells.max(axis=1)
     r = int(np.argmax(row_max))
     return row_max, r, int(np.argmax(cells[r]))
@@ -233,7 +231,7 @@ def _pair_sweep(world: WorldSpec, e: np.ndarray, est: list[int], k: int,
     # cannot hold the maximum; the kept rows, scored in full in ascending
     # order, give the full grid's argmax, the first index on ties. The top
     # columns and the kept rows are scored by _pair_grid, compiled or in
-    # numpy with the same bits; the bound is numpy's.
+    # numpy with the same bits; every maximum, and the bound, is numpy's.
     changed = False
     n = len(world.atoms)
     for i in range(k):

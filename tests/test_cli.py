@@ -447,6 +447,20 @@ class TestRerunDivergence:
                         "--out", str(tmp_path / "rerun"))
         assert rerun.returncode == 0 and "rerun verified: all 10 artifact digests match" in rerun.stdout, rerun.stderr
 
+    @pytest.mark.parametrize("spelling", ["as-given", "dot-dot"])
+    def test_rerun_into_the_recorded_directory_is_refused(self, tmp_path, capsys, spelling):
+        run = tmp_path / "run"
+        assert main(["pipeline", "run", "--out", str(run), *TINY_RUN]) == 0
+        for path in run.iterdir():
+            os.utime(path, ns=(10**18, 10**18))  # a rewrite within the same second still shows
+        before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in run.iterdir()}
+        out = run if spelling == "as-given" else tmp_path / "elsewhere" / ".." / "run"
+        capsys.readouterr()
+        assert main(["pipeline", "rerun", "--manifest", str(run / "manifest.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: --out is the directory of --manifest"), err
+        assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in run.iterdir()} == before
+
 
 def _tiny_checkpoint(tmp_path):
     ckpt = tmp_path / "net.bin"

@@ -355,25 +355,25 @@ class TestPairSweepOnNumpy(TestPairSweep):
 
 @pytest.fixture
 def grid_calls(kernel_path, monkeypatch) -> list[int]:
-    """What each pair_grid call of the test returned: one entry per grid the
-    compiled library scored, none on the numpy path."""
+    """One entry per pair_cells call of the test, the number of rows it
+    scored; none on the numpy path."""
     calls: list[int] = []
     lib = nn._kernels()
     if lib is not None:
-        call = lib.pair_grid
+        call = lib.pair_cells
 
         def recorded(*args):
-            calls.append(call(*args))
-            return calls[-1]
+            calls.append(args[0])
+            return call(*args)
 
-        monkeypatch.setattr(lib, "pair_grid", recorded)
+        monkeypatch.setattr(lib, "pair_cells", recorded)
     return calls
 
 
 def _grid_inputs(kind: str, n: int, seed: int):
     """row_num, row_den2, scores_j, cross_j and gram of an n x n pair grid
-    whose cells are drawn at random, tie in many places, are all 0.0, or hold
-    NaN rows and NaN cells."""
+    whose cells are drawn at random, tie in many places, are all 0.0 or -0.0,
+    or hold NaN rows and NaN cells."""
     rng = np.random.default_rng(seed)
     row_num, scores_j = rng.standard_normal(n), rng.standard_normal(n)
     row_den2, cross_j, gram = 8.0 + rng.random(n), rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, (n, n))
@@ -382,24 +382,26 @@ def _grid_inputs(kind: str, n: int, seed: int):
         row_num, scores_j = rng.integers(0, 3, n).astype(float), rng.integers(0, 3, n).astype(float)
         row_den2, cross_j, gram = np.full(n, 4.0), np.zeros(n), np.zeros((n, n))
     elif kind == "zero":
+        # -0.0 + -0.0 is the only sum that keeps the sign: rows of 0.0 and -0.0 cells
         row_num, scores_j = np.zeros(n), np.zeros(n)
+        row_num[::2], scores_j[1::2] = -0.0, -0.0
     elif kind == "nan":
         row_num[rng.choice(n, 5, replace=False)] = np.nan
         gram[rng.random((n, n)) < 0.01] = -100.0  # sqrt of a negative squared norm
-        gram[7, 270:] = -100.0  # a NaN row whose first NaN lies past the first 256 columns
+        gram[7, 270:] = -100.0  # a NaN row whose first NaN lies near its end
     return row_num, row_den2, scores_j, cross_j, gram
 
 
 class TestPairGrid:
     """_pair_grid's row maxima are numpy's max(axis=1) of the same cells byte
-    for byte, and its argmax is np.argmax's, on both paths. A row whose
-    maximum ties 0.0 with -0.0 is left out, and a NaN maximum is compared as
-    a NaN: numpy's bits there depend on its SIMD lanes, and the sweep only
-    compares maxima."""
+    for byte, rows whose maximum ties 0.0 with -0.0 and NaN rows (their
+    payloads) included, and its argmax is np.argmax's, on both paths: the
+    compiled cells are numpy's cells, bit for bit, and numpy takes every
+    maximum."""
 
     @pytest.mark.parametrize("kind", ["random", "tied", "zero", "nan"])
     def test_matches_numpy_max_and_argmax(self, kernel_path, grid_calls, kind):
-        n = 300  # more columns than the compiled loop scores at a time
+        n = 300
         rng = np.random.default_rng(1)
         blocks = [
             (None, None),
@@ -416,12 +418,7 @@ class TestPairGrid:
                 with np.errstate(invalid="ignore"):
                     cells = (row_num[a, None] + scores_j[b]) / np.sqrt(row_den2[a, None] + 2.0 * cross_j[b] + 2.0 * gram[np.ix_(a, b)])
                     row_max, r, c = _pair_grid(*inputs, rows=rows, cols=cols)
-                    want = cells.max(axis=1)
-                # numpy returns a NaN maximum as the input's NaN or as its own
-                # quiet NaN, by row length, so only the numbers are compared
-                # byte for byte
-                assert np.array_equal(np.isnan(row_max), np.isnan(want))
-                assert row_max[~np.isnan(want)].tobytes() == want[~np.isnan(want)].tobytes()
+                assert row_max.tobytes() == cells.max(axis=1).tobytes()
                 assert (r, c) == np.unravel_index(np.argmax(cells), cells.shape)
         assert len(grid_calls) == (3 * len(blocks) if kernel_path == "kernel" else 0)
 
