@@ -88,7 +88,9 @@ CONFIG_CHECKS: dict[str, tuple[str, Callable[[Any], bool]]] = {
     "dim": (">= 2", lambda v: v >= 2),
     "objective": (f"one of {', '.join(OBJECTIVE_ALIASES)}", lambda v: v in OBJECTIVE_ALIASES),
     **{key: (rule, ok) for key, (_, _, rule, ok) in TRAIN_SETTINGS.items()},
-    "train_seed": (">= 0", lambda v: v >= 0),  # it seeds numpy's generator directly
+    # seeds are used as 64-bit words, which would fold -1 onto 2^64 - 1
+    **dict.fromkeys(("master_seed", "eval_seed", "world_seed", "train_seed", "sample_seed"),
+                    ("within [0, 2^64)", lambda v: 0 <= v < 2**64)),
     "sample_steps": (">= 1", lambda v: v >= 1),
     "cfg_scale": ("finite", math.isfinite),
     "kid_subsets": (">= 2", lambda v: v >= 2),
@@ -285,7 +287,10 @@ def cmd_prior_train(args) -> int:
     _refuse_same_file(args, ["--corpus", "--taxonomy"], ["--out", "--loss-csv"])
     config = _subcommand_config(args)
     taxonomy = _resolve_taxonomy(config["taxonomy"])
-    dataset = make_dataset(read_corpus(args.corpus), taxonomy, _world(taxonomy, config))
+    records = read_corpus(args.corpus)
+    if not records:
+        raise PartgenError(f"corpus {args.corpus} holds no records; nothing to train on")
+    dataset = make_dataset(records, taxonomy, _world(taxonomy, config))
     result = _train_stage(config, dataset, args.out, args.loss_csv)
     final = float(np.mean(result.losses[-100:]))
     print(f"trained {config['steps']} steps; step-1 loss {result.losses[0]:.4f}, final-100 mean {final:.4f}")

@@ -5,7 +5,8 @@ each, every part carrying a list of donor subjects. A (part, subject) pair
 is a semantic atom, the unit everything downstream composes. Prompts are
 rendered from 2 to 4 distinct-part atoms with a fixed English template and
 get a deterministic 64-bit seed hashed from the prompt text. The corpus is
-drawn record by record, each from its own seed, and hashed per block.
+drawn and hashed a block of records at a time, each record from its own
+restated ``default_rng`` stream (checked against numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InsufficientAtoms, ParseError, ValidationError, decode_utf8
-from .hashing import combine_seeds, derive_seeds, seeded_generators
+from .hashing import GeneratorBlock, combine_seeds, derive_seeds
 
 DOMAIN_NAMES = ("creature", "vehicle", "furniture", "plant", "electronics", "instrument")
 MIN_ATOMS_PER_PROMPT = 2
@@ -223,49 +224,6 @@ def enumerate_atoms(taxonomy: Taxonomy) -> list[SemanticAtom]:
     return atoms
 
 
-class AtomPools:
-    """The draw pools of one taxonomy: every atom in file order, then each domain's.
-
-    A pool is its atoms in order, a boolean matrix that is true where two
-    of them differ in part, and the positions 0..n-1. Built from the
-    taxonomy's contents at construction; a taxonomy edited afterwards needs
-    new pools.
-    """
-
-    def __init__(self, taxonomy: Taxonomy) -> None:
-        atoms = enumerate_atoms(taxonomy)
-        codes: dict[str, int] = {}
-        part_ids = np.array([codes.setdefault(a.part, len(codes)) for a in atoms])
-        other_part = part_ids[:, None] != part_ids
-        self.pools = [(atoms, other_part, np.arange(len(atoms)))]
-        start = 0
-        for entry in taxonomy.domains:
-            stop = start + sum(len(p.subjects) for p in entry.parts)
-            self.pools.append((atoms[start:stop], other_part[start:stop, start:stop], np.arange(stop - start)))
-            start = stop
-
-    def sample(self, rng: np.random.Generator, k: int, mix_domains: bool) -> list[SemanticAtom]:
-        """Draw k distinct-part atoms, from one uniform domain unless mixing.
-
-        Each draw is one ``rng.integers(n_eligible)`` into the pool's atoms
-        of the not-yet-used parts, in pool order, so parts with more
-        subjects are proportionally more likely.
-        """
-        if not (MIN_ATOMS_PER_PROMPT <= k <= MAX_ATOMS_PER_PROMPT):
-            raise ValueError(f"k must be in [{MIN_ATOMS_PER_PROMPT}, {MAX_ATOMS_PER_PROMPT}], got {k}")
-        pool = 0 if mix_domains else 1 + int(rng.integers(len(self.pools) - 1))
-        atoms, other_part, eligible = self.pools[pool]
-        chosen: list[SemanticAtom] = []
-        while True:
-            if eligible.size == 0:
-                raise InsufficientAtoms(f"need {k} distinct parts, pool has {len(chosen)}")
-            i = eligible[rng.integers(eligible.size)]
-            chosen.append(atoms[i])
-            if len(chosen) == k:
-                return chosen
-            eligible = eligible[other_part[i][eligible]]
-
-
 def render_prompt(prefix: str, atoms: Sequence[SemanticAtom]) -> str:
     """Template: '{Prefix} with {part} of a {subject}, ..., and {part} of a {subject}.'
 
@@ -282,41 +240,58 @@ def render_prompt(prefix: str, atoms: Sequence[SemanticAtom]) -> str:
     return f"{prefix} with {joined}."
 
 
-def _draw_record(taxonomy: Taxonomy, pools: AtomPools, rng: np.random.Generator, mix_ratio: float) -> tuple[str, bool, list[SemanticAtom], str]:
-    """Prefix, domain-mix flag, atoms and text of a record, from its own
-    generator, seeded with ``combine_seed(master_seed, index)``.
-
-    The draw order within the per-item generator is fixed: k, then the
-    domain-mix coin, then the domain index of a single-domain record, then
-    one index per atom into the atoms of the not-yet-used parts, in pool
-    order. Changing it would silently change every corpus, so it is part of
-    the format.
-    """
-    k = int(rng.integers(MIN_ATOMS_PER_PROMPT, MAX_ATOMS_PER_PROMPT + 1))
-    mix = bool(rng.random() < mix_ratio)
-    atoms = pools.sample(rng, k, mix_domains=mix)
-    prefix = taxonomy.domain(atoms[0].domain).prefix
-    return prefix, mix, atoms, render_prompt(prefix, atoms)
-
-
 def generate_corpus(
     taxonomy: Taxonomy,
     n: int,
     master_seed: int,
     mix_ratio: float = 0.5,
 ) -> Iterator[HybridPrompt]:
-    """Yield records 0..n-1, seeded and hashed per block; output depends only on the arguments."""
+    """Yield records 0..n-1, drawn and hashed per block; output depends only on the arguments.
+
+    Record i draws from ``np.random.default_rng(combine_seed(master_seed,
+    i))``, restated a block of records at a time by GeneratorBlock. The draw
+    order is fixed: k, then the domain-mix coin, then the domain index of a
+    single-domain record, then one index per atom into the atoms of the
+    not-yet-used parts, in file order. Changing it would silently change
+    every corpus, so it is part of the format.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not (0.0 <= mix_ratio <= 1.0):
         raise ValueError("mix_ratio must be within [0, 1]")
-    pools, render = AtomPools(taxonomy), RenderConfig()
+    atoms, render = enumerate_atoms(taxonomy), RenderConfig()
+    prefixes = {entry.name: entry.prefix for entry in reversed(taxonomy.domains)}  # a name's first entry wins
+    # each (domain, part) entry's atoms are one stretch of the file order
+    stretches = [(d, part.part_name, len(part.subjects)) for d, entry in enumerate(taxonomy.domains) for part in entry.parts]
+    domain = np.array([d for d, _, _ in stretches], dtype=np.intp)
+    codes: dict[str, int] = {}
+    part = np.array([codes.setdefault(name, len(codes)) for _, name, _ in stretches], dtype=np.intp)
+    size = np.array([s for *_, s in stretches], dtype=np.int64)
+    stop = np.cumsum(size)
     for start in range(0, n, CORPUS_BLOCK):
-        rngs = seeded_generators(combine_seeds(master_seed, range(start, min(start + CORPUS_BLOCK, n))))
-        drawn = [_draw_record(taxonomy, pools, rng, mix_ratio) for rng in rngs]
-        seeds = derive_seeds([text for *_, text in drawn])
-        for i, (prefix, mix, atoms, text), seed in zip(range(start, n), drawn, seeds):
-            yield HybridPrompt(id=i, prefix=prefix, domain_mix=mix, atoms=atoms, text=text, seed=seed, render=render)
+        rows = np.arange(min(CORPUS_BLOCK, n - start))
+        gen = GeneratorBlock(combine_seeds(master_seed, range(start, start + rows.size)))
+        k = MIN_ATOMS_PER_PROMPT + gen.integers(MAX_ATOMS_PER_PROMPT - MIN_ATOMS_PER_PROMPT + 1, rows)
+        mix = gen.random(rows) < mix_ratio
+        pool = np.ones((rows.size, size.size), dtype=bool)  # the stretches a record may still draw from
+        pool[~mix] = domain == gen.integers(len(taxonomy.domains), rows[~mix])[:, None]
+        picks = np.zeros((rows.size, MAX_ATOMS_PER_PROMPT), dtype=np.int64)
+        for j in range(MAX_ATOMS_PER_PROMPT):
+            live = rows[k > j]
+            ends = np.where(pool[live], size, 0).cumsum(axis=1)  # of each stretch, in the record's pool
+            count = ends[:, -1:].sum(axis=1)  # the last end, or 0 with no stretches
+            if live.size and not count.min():
+                short = live[np.argmin(count)]
+                raise InsufficientAtoms(f"record {start + short} needs {k[short]} distinct parts, its pool has {j}")
+            index = gen.integers(count, live)
+            chosen = (ends <= index[:, None]).sum(axis=1)
+            picks[live, j] = stop[chosen] - ends[np.arange(live.size), chosen] + index
+            pool[live] &= part != part[chosen, None]
+        drawn = [[atoms[a] for a in row[:kk]] for row, kk in zip(picks.tolist(), k.tolist())]
+        texts = [render_prompt(prefixes[chosen[0].domain], chosen) for chosen in drawn]
+        for i, chosen, mixed, text, seed in zip(range(start, n), drawn, mix.tolist(), texts, derive_seeds(texts)):
+            yield HybridPrompt(id=i, prefix=prefixes[chosen[0].domain], domain_mix=mixed, atoms=chosen, text=text,
+                               seed=seed, render=render)
 
 
 # a corpus line, json.dumps(record.to_dict()) of a HybridPrompt, with each

@@ -26,6 +26,8 @@ from partgen.report import write_report
 from partgen.taxonomy import default_taxonomy_path, generate_corpus, read_corpus, write_corpus
 from partgen.world import DEFAULT_DIM, make_dataset
 
+SEED_KEYS = ("master_seed", "eval_seed", "world_seed", "train_seed", "sample_seed")
+
 
 def _help_text(capsys, argv) -> str:
     with pytest.raises(SystemExit) as excinfo:
@@ -225,6 +227,11 @@ class TestConfigResolution:
     def test_sample_steps_within_the_objective_cap_pass(self, objective, steps):
         config = resolve_pipeline_config(None, [f"objective={objective}", f"sample_steps={steps}"])
         assert config["sample_steps"] == int(steps)
+
+    @pytest.mark.parametrize("key", SEED_KEYS)
+    def test_seeds_at_the_ends_of_64_bits_pass(self, key):
+        for value in (0, 2**64 - 1):
+            assert resolve_pipeline_config(None, [f"{key}={value}"])[key] == value
 
     def test_readme_key_table_matches_the_defaults(self):
         # README lists every config key with its default, in PIPELINE_DEFAULTS' order
@@ -473,6 +480,9 @@ def _tree(root):
     return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
+_TINY_CONFIG = {"n_train": 2, "n_eval": 2, "steps": 1, "sample_steps": 1}
+_TINY_RUN = [arg for key, value in _TINY_CONFIG.items() for arg in ("--set", f"{key}={value}")]
+
 # (id, argv, exit code, text the one stderr line must hold). {tmp} is the
 # test's directory, {out} a path in it that must not exist afterwards, and
 # {ckpt}, {conf}, {taxonomy}, {manifest_*}, {report*} and {corpus*} are
@@ -485,6 +495,27 @@ MALFORMED = [
     ("run-lr-inf", ["pipeline", "run", "--out", "{out}", "--set", "lr=inf"], 2, "lr"),
     ("run-train-seed-negative", ["pipeline", "run", "--out", "{out}", "--set", "train_seed=-1"], 2, "train_seed"),
     ("run-set-without-value", ["pipeline", "run", "--out", "{out}", "--set", "steps"], 2, "--set"),
+    # seeds outside [0, 2^64), which were reduced mod 2^64, by each way a value arrives; the
+    # tiny run's settings only keep a run short where the seed is not refused
+    *[(f"run-set-{key.replace('_', '-')}-{label}", ["pipeline", "run", "--out", "{out}", "--set", f"{key}={value}", *_TINY_RUN],
+       2, f"usage error: {key} must be within [0, 2^64), got {value}")
+      for key in SEED_KEYS for label, value in (("negative", -1), ("2-64", 2**64))],
+    ("corpus-gen-seed-negative", ["corpus", "gen", "--n", "3", "--seed=-1", "--out", "{out}"], 2,
+     "usage error: --seed must be within [0, 2^64), got -1"),
+    ("corpus-gen-seed-2-64", ["corpus", "gen", "--n", "3", "--seed", str(2**64), "--out", "{out}"], 2,
+     f"usage error: --seed must be within [0, 2^64), got {2**64}"),
+    ("prior-train-world-seed-negative", ["prior", "train", "--corpus", "{corpus}", "--out", "{out}", "--steps", "1",
+                                         "--world-seed=-1"], 2, "usage error: --world-seed must be within [0, 2^64), got -1"),
+    ("prior-train-train-seed-2-64", ["prior", "train", "--corpus", "{corpus}", "--out", "{out}", "--steps", "1",
+                                     "--train-seed", str(2**64)], 2, "usage error: --train-seed must be within [0, 2^64)"),
+    ("prior-sample-sample-seed-negative", ["prior", "sample", "--ckpt", "{ckpt}", "--atoms", "head:lion,body:horse", "--steps", "2",
+                                           "--sample-seed=-1", "--out", "{out}"], 2, "usage error: --sample-seed must be within [0, 2^64)"),
+    ("eval-eval-seed-2-64", ["eval", "--ckpt", "{ckpt}", "--out-dir", "{out}", "--n-eval", "4", "--sample-steps", "2",
+                             "--eval-seed", str(2**64)], 2, "usage error: --eval-seed must be within [0, 2^64)"),
+    ("run-config-sample-seed-2-64", ["pipeline", "run", "--out", "{out}", "--config", "{conf_seed}"], 2,
+     f"usage error: sample_seed must be within [0, 2^64), got {2**64}"),
+    ("rerun-world-seed-negative", ["pipeline", "rerun", "--manifest", "{manifest_world_seed_negative}", "--out", "{out}"], 2,
+     "usage error: world_seed must be within [0, 2^64), got -3"),
     ("run-config-dim-1", ["pipeline", "run", "--out", "{out}", "--config", "{conf}"], 2, "dim"),
     # a missing taxonomy is named as the caller gave it: by the subcommand's flag, or by the config key
     ("corpus-gen-taxonomy-missing", ["corpus", "gen", "--taxonomy", "{tmp}/absent.txt", "--n", "5", "--out", "{out}"], 2,
@@ -555,6 +586,10 @@ MALFORMED = [
      1, "corpus_one_atom.jsonl:2: bad corpus record: a record holds 2-4 atoms, got 1"),
     ("prior-train-corpus-five-atoms", ["prior", "train", "--corpus", "{corpus_five_atoms}", "--out", "{out}", "--steps", "1"],
      1, "corpus_five_atoms.jsonl:2: bad corpus record: a record holds 2-4 atoms, got 5"),
+    ("prior-train-corpus-empty", ["prior", "train", "--corpus", "{corpus_empty}", "--out", "{out}", "--steps", "1"],
+     1, "corpus_empty.jsonl holds no records"),
+    ("prior-train-corpus-blank-lines", ["prior", "train", "--corpus", "{corpus_blank}", "--out", "{out}", "--steps", "1"],
+     1, "corpus_blank.jsonl holds no records"),
     ("prior-train-corpus-unknown-atom", ["prior", "train", "--corpus", "{corpus_unknown_atom}", "--out", "{out}", "--steps", "1"],
      1, "record 1: atom ("),
     # outputs that cannot be written
@@ -598,16 +633,20 @@ class TestMalformedInput:
     def test_one_line_and_no_output(self, tmp_path, capsys, taxonomy, argv, code, text):
         conf = tmp_path / "run.conf"
         conf.write_text("dim = 1\n", encoding="utf-8")
+        conf_seed = tmp_path / "seed.conf"
+        conf_seed.write_text("".join(f"{k} = {v}\n" for k, v in {**_TINY_CONFIG, "sample_seed": 2**64}.items()), encoding="utf-8")
         (tmp_path / "a_dir").mkdir()
         outside = tmp_path / "outside.txt"
         outside.write_text("outside the run directory\n", encoding="utf-8")
         outside_sha256 = hashlib.sha256(outside.read_bytes()).hexdigest()
         paths = {"tmp": str(tmp_path), "out": str(tmp_path / "out"), "ckpt": str(_tiny_checkpoint(tmp_path)), "conf": str(conf),
+                 "conf_seed": str(conf_seed),
                  "taxonomy": str(shutil.copy(default_taxonomy_path(), tmp_path / "tax.txt"))}
         manifests = {
             "lacks_taxonomy": {"config": {k: v for k, v in PIPELINE_DEFAULTS.items() if k != "taxonomy"}},
             "taxonomy_missing": {"config": {**PIPELINE_DEFAULTS, "taxonomy": str(tmp_path / "absent.txt")}},
             "steps_0": {"config": {**PIPELINE_DEFAULTS, "steps": 0}},
+            "world_seed_negative": {"config": {**PIPELINE_DEFAULTS, **_TINY_CONFIG, "world_seed": -3}},
             "artifacts_list": {"artifacts": []},
             "config_list": {"config": [1]},
             "artifact_dir": {"artifacts": {"samples": {"path": "a_dir", "sha256": "0" * 64}}},
@@ -647,6 +686,9 @@ class TestMalformedInput:
         for name, lines in corpora.items():
             paths[name] = str(tmp_path / f"{name}.jsonl")
             (tmp_path / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+        for name, content in (("corpus_empty", ""), ("corpus_blank", "\n  \n\t\n")):
+            paths[name] = str(tmp_path / f"{name}.jsonl")
+            (tmp_path / f"{name}.jsonl").write_text(content, encoding="utf-8")
         before = _tree(tmp_path)
         assert main([arg.format(**paths) for arg in argv]) == code
         err = capsys.readouterr().err.strip().splitlines()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from partgen.hashing import (
     FNV_OFFSET_BASIS,
+    GeneratorBlock,
     combine_seed,
     combine_seeds,
     derive_seeds,
@@ -113,3 +114,39 @@ def test_seeded_generators_are_independent_objects():
     a.random()
     assert a.bit_generator.state != b.bit_generator.state
     assert b.bit_generator.state == np.random.default_rng(7).bit_generator.state
+
+
+# Generator.integers(n) bounds for the restated stream: n = 1 draws nothing;
+# 3 * 2^30 + 1 rejects a quarter of draws; at 2^31 a threshold one below
+# (2^32 - n) mod n wraps to 2^31 - 1 and rejects half; 2^32 - 1 is the top
+_DRAW_BOUNDS = [1, 2, 3, 6, 464, 3 * 2**30 + 1, 2**31, 2**32 - 1]
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=8), st.data())
+def test_generator_block_is_default_rng(extra_seeds, data):
+    """Random calls on random row subsets, each ``integers`` with one bound or
+    one per row, against each seed's own ``default_rng`` making the same calls."""
+    seeds = _SEED_EDGES + extra_seeds
+    block, references = GeneratorBlock(seeds), [np.random.default_rng(seed) for seed in seeds]
+    for call in data.draw(st.lists(st.sampled_from(["integers", "random"]), max_size=12)):
+        rows = data.draw(st.lists(st.sampled_from(range(len(seeds))), unique=True))
+        if call == "random":
+            assert block.random(np.array(rows, dtype=np.intp)).tolist() == [references[r].random() for r in rows]
+            continue
+        one_bound = st.sampled_from(_DRAW_BOUNDS)
+        bounds = data.draw(st.one_of(one_bound, st.lists(one_bound, min_size=len(rows), max_size=len(rows))))
+        per_row = bounds if isinstance(bounds, list) else [bounds] * len(rows)
+        expected = [int(references[r].integers(n)) for r, n in zip(rows, per_row)]
+        assert block.integers(bounds, np.array(rows, dtype=np.intp)).tolist() == expected
+    # every row again: these differ if a state or a held 32-bit half is off
+    rows = np.arange(len(seeds))
+    assert block.integers(6, rows).tolist() == [int(r.integers(6)) for r in references]
+    assert block.integers(2**32 - 1, rows).tolist() == [int(r.integers(2**32 - 1)) for r in references]
+    assert block.random(rows).tolist() == [r.random() for r in references]
+
+
+@pytest.mark.parametrize("n", [0, -1, 2**32, 2**64, [3, -1], [5, 2**32]])
+def test_generator_block_refuses_bounds_outside_32_bits(n):
+    # numpy takes another path for n >= 2^32, which the block does not restate
+    with pytest.raises(ValueError):
+        GeneratorBlock([1, 2]).integers(n, np.arange(2))

@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 from partgen.errors import InsufficientAtoms, ParseError, ValidationError
-from partgen.hashing import fnv1a_64
+from partgen.hashing import combine_seed, fnv1a_64
 from partgen.taxonomy import (
     CORPUS_BLOCK,
     DOMAIN_NAMES,
-    AtomPools,
     RenderConfig,
     SemanticAtom,
     default_taxonomy_path,
@@ -152,47 +151,49 @@ class TestRendering:
             render_prompt("A creature", [_atom("head", "lion")])
 
 
+# "tail" appears in two domains, so the mixed pool holds its atoms in two
+# separate stretches; a single-domain vehicle record has only two parts
+_TAIL_TAXONOMY = (
+    "domain creature\nprefix A creature\n"
+    "part tail: lion, fox, cat\npart head: owl, elk\npart wings: bat, moth, crow, hawk\n"
+    "domain vehicle\nprefix A vehicle\n"
+    "part wheels: bus, van\npart tail: jet, kite, glider\n"
+)
+# one domain of one-subject parts: the domain and each record's last atom
+# are drawn with integers(1), which consumes nothing
+_ONE_SUBJECT_TAXONOMY = "domain plant\nprefix A plant\npart leaf: fern\npart root: oak\npart stem: reed\npart bud: rose\n"
+
+
 class TestSampling:
-    def test_distinct_parts(self, taxonomy):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            atoms = AtomPools(taxonomy).sample(rng, 4, mix_domains=True)
-            assert len({a.part for a in atoms}) == 4
-
-    def test_single_domain_when_not_mixing(self, taxonomy):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            atoms = AtomPools(taxonomy).sample(rng, 3, mix_domains=False)
-            assert len({a.domain for a in atoms}) == 1
-
-    def test_insufficient_parts(self):
-        text = "domain creature\nprefix A creature\npart tail: lion, fox, cat, dog, elk, bat\n"
-        taxonomy = parse_taxonomy(text)  # parse only; validation would reject it
-        with pytest.raises(InsufficientAtoms):
-            AtomPools(taxonomy).sample(np.random.default_rng(0), 2, mix_domains=False)
-
-    def test_k_bounds(self, taxonomy):
-        with pytest.raises(ValueError):
-            AtomPools(taxonomy).sample(np.random.default_rng(0), 5, mix_domains=True)
-
-    def test_pool_draw_matches_filtered_list(self, taxonomy):
-        # "tail" appears in two domains, so the mixed pool holds its atoms in two separate stretches
-        text = (
-            "domain creature\nprefix A creature\n"
-            "part tail: lion, fox, cat\npart head: owl, elk\npart wings: bat, moth, crow, hawk\n"
-            "domain vehicle\nprefix A vehicle\n"
-            "part wheels: bus, van\npart tail: jet, kite, glider\n"
-        )
-        for source in (parse_taxonomy(text), taxonomy):
-            pools = AtomPools(source)
-            for seed in range(300):
-                k, mix = 2 + seed % 3, seed % 2 == 0
-                expected = _filtered_list_draw(source, np.random.default_rng(seed), k, mix)
-                if expected is None:
-                    with pytest.raises(InsufficientAtoms):
-                        pools.sample(np.random.default_rng(seed), k, mix_domains=mix)
-                else:
-                    assert pools.sample(np.random.default_rng(seed), k, mix_domains=mix) == expected
+    @pytest.mark.parametrize("mix_ratio", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("source", ["default", "tail", "one-subject"])
+    def test_corpus_matches_per_record_oracle(self, taxonomy, source, mix_ratio):
+        """Each record as its own numpy generator draws it, across block edges;
+        InsufficientAtoms for the block of the first record whose pool runs
+        out of parts, after the blocks before it."""
+        if source != "default":
+            # parse only: validation would reject both
+            taxonomy = parse_taxonomy(_TAIL_TAXONOMY if source == "tail" else _ONE_SUBJECT_TAXONOMY)
+        for n in (1, CORPUS_BLOCK - 1, CORPUS_BLOCK + 1):
+            expected = []
+            for i in range(n):
+                rng = np.random.default_rng(combine_seed(29, i))
+                k = int(rng.integers(2, 5))
+                mix = bool(rng.random() < mix_ratio)
+                expected.append((mix, _filtered_list_draw(taxonomy, rng, k, mix)))
+            records, corpus = [], generate_corpus(taxonomy, n, master_seed=29, mix_ratio=mix_ratio)
+            short = next((i for i, (_, atoms) in enumerate(expected) if atoms is None), None)
+            if short is None:
+                records = list(corpus)
+            else:
+                with pytest.raises(InsufficientAtoms):
+                    records.extend(corpus)
+                expected = expected[: short - short % CORPUS_BLOCK]
+            assert [(r.domain_mix, r.atoms) for r in records] == expected
+            for r in records:
+                assert len({a.part for a in r.atoms}) == len(r.atoms)
+                assert r.domain_mix or len({a.domain for a in r.atoms}) == 1
+                assert r.prefix == taxonomy.domain(r.atoms[0].domain).prefix
 
 
 def _filtered_list_draw(taxonomy, rng, k, mix_domains):
